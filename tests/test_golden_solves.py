@@ -1,0 +1,86 @@
+"""Every row of data/exact_values.csv re-solved against a recorded fixture.
+
+The fixture tests/data/golden_solves.json holds, per row, the value, the
+`nodes_explored` count and the content hash of the canonical witness JSON.
+A faster search path must reproduce all three exactly: the same search
+tree and the same lexicographically smallest witness.
+
+To re-record the fixture after an intended change to the search (say so in
+CHANGES.md), run from the repository root:
+
+    PYTHONPATH=src python tests/test_golden_solves.py
+"""
+
+import csv
+import json
+from pathlib import Path
+
+import pytest
+
+from turanlab.hypergraph import content_hash
+from turanlab.patterns import parse_pattern
+from turanlab.solvers import ex_exact, z_exact, z_expansion_exact
+
+ROOT = Path(__file__).resolve().parent.parent
+TABLE = ROOT / "data" / "exact_values.csv"
+FIXTURE = Path(__file__).resolve().parent / "data" / "golden_solves.json"
+
+
+def _rows():
+    with TABLE.open() as fh:
+        return [(row["quantity"], row["params"]) for row in csv.DictReader(fh)]
+
+
+def _solve(quantity, params_text):
+    params = dict(item.split("=", 1) for item in params_text.split(";"))
+    if quantity == "ex":
+        floor = params.get("degree_floor")
+        return ex_exact(
+            int(params["n"]),
+            parse_pattern(params["pattern"]),
+            host_kind=params.get("host", "graph"),
+            degree_floor=None if floor is None else int(floor),
+        )
+    if quantity == "z":
+        return z_exact(int(params["m"]), int(params["n"]), parse_pattern(params["pattern"]))
+    return z_expansion_exact(
+        int(params["m"]),
+        int(params["n"]),
+        parse_pattern(params["p1"]),
+        parse_pattern(params["p2"]),
+    )
+
+
+def _record(quantity, params_text):
+    result = _solve(quantity, params_text)
+    return {
+        "quantity": quantity,
+        "params": params_text,
+        "value": result.value,
+        "nodes_explored": result.nodes_explored,
+        "content_hash": content_hash(result.witness),
+    }
+
+
+def _fixture():
+    with FIXTURE.open() as fh:
+        return {(r["quantity"], r["params"]): r for r in json.load(fh)}
+
+
+def test_fixture_covers_every_table_row():
+    rows = _rows()
+    assert len(rows) == 20
+    assert set(_fixture()) == set(rows)
+
+
+@pytest.mark.parametrize("quantity,params_text", _rows(), ids=lambda x: x)
+def test_solve_matches_golden(quantity, params_text):
+    want = _fixture()[(quantity, params_text)]
+    assert _record(quantity, params_text) == want
+
+
+if __name__ == "__main__":
+    records = [_record(q, p) for q, p in _rows()]
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"wrote {len(records)} rows to {FIXTURE}")
