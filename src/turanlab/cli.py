@@ -68,6 +68,7 @@ from .hypergraph import (
     to_graph6,
 )
 from .patterns import (
+    _iter_kst,
     greedy_extend,
     heavy_shadow_graph,
     parse_pattern,
@@ -166,19 +167,9 @@ def _cmd_construct(spec: JobSpec) -> tuple[int, dict]:
 
 
 def _find_common_kst(masks, count, s, t):
-    """First K_{s,t} found by intersecting neighborhoods, or None."""
-    for subset in combinations(range(count), s):
-        common = -1
-        for v in subset:
-            common &= masks[v]
-        if common.bit_count() >= t:
-            others = []
-            while common and len(others) < t:
-                low = common & -common
-                others.append(low.bit_length() - 1)
-                common ^= low
-            return subset, tuple(others)
-    return None
+    """First K_{s,t}: the smallest s-subset of range(count) whose masks share
+    >= t bits, with its lowest t common bits; None if there is none."""
+    return next(_iter_kst(masks, s, t, (1 << count) - 1, -1), None)
 
 
 def _suite_pg_properties(q: int, s: int) -> tuple[int, dict]:
@@ -267,8 +258,9 @@ def _suite_ratio_count(q: int, s: int) -> tuple[int, dict]:
     count up to at most two corrections (a solution Z is lost only when
     its induced neighbor (Z,z) coincides with one of the two endpoints),
     so the codegree sits in [count-2, count]; pairs sharing the first
-    coordinate have no common neighbors at all.  Each vertex therefore has
-    at most q-2 <= 2 others whose solution count sits below the floor.
+    coordinate have no common neighbors at all.  The only partners of a
+    vertex counted below the floor are therefore the q-2 others sharing its
+    first coordinate; any more is a violation.
     """
     p, k = prime_power_decompose(q)
     big = make_field(p, k * (s - 1))
@@ -276,6 +268,8 @@ def _suite_ratio_count(q: int, s: int) -> tuple[int, dict]:
     floor = q ** (s - 2)
     ratio_failures = 0
     triples = 0
+    # (X, Y, lam) -> solution count, -1 where it fell below the floor
+    counts: dict[tuple[int, int, int], int] = {}
     for x_idx in range(big.order):
         for y_idx in range(big.order):
             if x_idx == y_idx:
@@ -283,9 +277,11 @@ def _suite_ratio_count(q: int, s: int) -> tuple[int, dict]:
             for lam_idx in range(1, q):
                 triples += 1
                 try:
-                    norm_ratio_count(q, s, x_idx, y_idx, lam_idx)
+                    count = norm_ratio_count(q, s, x_idx, y_idx, lam_idx)
                 except InvariantViolationError:
                     ratio_failures += 1
+                    count = -1
+                counts[(x_idx, y_idx, lam_idx)] = count
     g = norm_graph(q, s)
     codegree_failures = 0
     below_floor_failures = 0
@@ -302,16 +298,13 @@ def _suite_ratio_count(q: int, s: int) -> tuple[int, dict]:
                     codegree_failures += 1
                 continue
             lam = sub.from_index(sx) / sub.from_index(sy)
-            try:
-                count = norm_ratio_count(q, s, bx, by, lam.idx)
-            except InvariantViolationError:
-                count = -1
+            count = counts[(bx, by, lam.idx)]
             if count < floor:
                 below[u] += 1
                 below[v] += 1
             elif not count - 2 <= codegree <= count:
                 codegree_failures += 1
-    below_floor_failures = sum(1 for b in below if b > 2)
+    below_floor_failures = sum(1 for b in below if b > q - 2)
     violations = (
         int(ratio_failures > 0)
         + int(codegree_failures > 0)
@@ -323,6 +316,7 @@ def _suite_ratio_count(q: int, s: int) -> tuple[int, dict]:
         "ratio_failures": ratio_failures,
         "codegree_failures": codegree_failures,
         "below_floor_failures": below_floor_failures,
+        "max_below_floor": max(below, default=0),
     }
 
 

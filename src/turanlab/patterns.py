@@ -20,6 +20,19 @@ s-subset enumeration with running common-neighborhood intersection; all other
 cores go through a most-constrained-first backtracking embedder.  Expansion
 copies are decided per core embedding by maximum bipartite matching between
 core edges and eligible apexes.
+
+The embedder's placement plan (order, already-placed neighbors and core
+degree of each free vertex) depends only on the core and its anchored
+vertices, so it is compiled once and cached; each search then reads host
+degrees straight from the adjacency bitmasks.
+
+The solver-facing checks `pattern_through_edge` and `expansion_through_triple`
+ask whether a new edge (or triple) completes a copy.  For a complete core they
+anchor the new pair (ha, hb) as one core edge and run the same K_{s,t} search
+seeded with it: t-side candidates N(ha) minus hb, s-side candidates N(hb)
+minus ha, and a running intersection that must keep t - 1 members.  For C4
+through uv this is the test "N(u) minus v meets N(x) for some x in N(v) minus
+u".  Other cores anchor each core edge in turn and follow the cached plan.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -262,52 +276,73 @@ def expand(f: Graph | BipartiteGraph) -> ExpandedGraph:
 # -- low-level search engines --
 
 
-def _iter_kst(adj, s: int, t: int, left_mask: int, right_mask: int) -> Iterator[tuple[tuple, tuple]]:
+def _iter_kst(
+    adj,
+    s: int,
+    t: int,
+    left_mask: int,
+    right_mask: int,
+    anchor: tuple[int, int] | None = None,
+) -> Iterator[tuple[tuple, tuple]]:
     """Ascending s-subsets of left_mask whose common neighborhood inside
     right_mask has size >= t, paired with every t-subset of that neighborhood.
 
-    Common neighborhoods never meet the chosen s-set (no self-adjacency), so
-    disjointness is automatic.
+    With anchor = (ha, hb) only copies with ha on the s-side and hb on the
+    t-side are listed: ha and hb lead their sides and the other members
+    ascend.  The t-side candidates then start as N(ha) & right_mask minus hb,
+    the s-side candidates are N(hb) & left_mask minus ha, and the running
+    intersection must keep t - 1 members.  Common neighborhoods never meet
+    the chosen s-set (no self-adjacency), so disjointness is automatic.
     """
-    left = [v for v in iter_bits(left_mask) if adj[v].bit_count() >= t]
+    if anchor is None:
+        chosen: tuple = ()
+        lead: tuple = ()
+        inter = right_mask
+        pool = left_mask
+        need = t
+    else:
+        ha, hb = anchor
+        chosen = (ha,)
+        lead = (hb,)
+        inter = adj[ha] & right_mask & ~(1 << hb)
+        pool = adj[hb] & left_mask & ~(1 << ha)
+        need = t - 1
+        if inter.bit_count() < need:
+            return
+    left = [v for v in iter_bits(pool) if adj[v].bit_count() >= t]
 
     def rec(start: int, chosen: tuple, inter: int):
         if len(chosen) == s:
-            members = list(iter_bits(inter))
-            for b in combinations(members, t):
-                yield chosen, b
+            for b in combinations(iter_bits(inter), need):
+                yield chosen, lead + b
             return
         for pos in range(start, len(left)):
             v = left[pos]
             ninter = inter & adj[v]
-            if ninter.bit_count() >= t:
+            if ninter.bit_count() >= need:
                 yield from rec(pos + 1, chosen + (v,), ninter)
 
-    yield from rec(0, (), right_mask)
+    yield from rec(0, chosen, inter)
 
 
-def _iter_core_embeddings(
-    core_n: int,
-    core_edges,
-    allowed: list[int],
-    adj,
-    pre: dict[int, int] | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """All injective maps of an arbitrary core into a host adjacency.
+@lru_cache(maxsize=256)
+def _embedding_plan(
+    core_n: int, core_edges: tuple[tuple[int, int], ...], anchored: tuple[int, ...]
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, tuple[int, ...], int], ...]]:
+    """Placement plan of a core with the given (sorted) vertices anchored.
 
-    allowed[i] masks the host vertices permitted for core vertex i; pre fixes
-    anchored core vertices.  Core vertices are placed most-constrained-first;
-    the first free vertex's candidates are tried in ascending host degree.
+    Returns the core edges among anchored vertices and, for each free core
+    vertex in placement order, (vertex, already-placed neighbors, core
+    degree).  Free vertices are placed most-constrained-first: most placed
+    neighbors, then highest degree, then lowest label.
     """
-    core_adj = [[] for _ in range(core_n)]
+    core_adj: list[list[int]] = [[] for _ in range(core_n)]
     for a, b in core_edges:
         core_adj[a].append(b)
         core_adj[b].append(a)
-    host_deg = {v: adj[v].bit_count() for v in range(len(adj))}
-
-    order: list[int] = []
-    placed = set(pre or {})
-    order.extend(sorted(placed))
+    order = list(anchored)
+    placed = set(anchored)
+    steps = []
     while len(order) < core_n:
         best, best_key = -1, (-1, 0)
         for cv in range(core_n):
@@ -317,46 +352,64 @@ def _iter_core_embeddings(
             key = (back, len(core_adj[cv]))
             if key > best_key:
                 best, best_key = cv, key
+        steps.append((best, tuple(u for u in core_adj[best] if u in placed), len(core_adj[best])))
         order.append(best)
         placed.add(best)
+    anchored_edges = tuple((a, b) for a, b in core_edges if a in anchored and b in anchored)
+    return anchored_edges, tuple(steps)
 
-    core_deg = [len(core_adj[v]) for v in range(core_n)]
+
+def _iter_core_embeddings(
+    core_n: int,
+    core_edges: tuple[tuple[int, int], ...],
+    allowed: list[int],
+    adj,
+    pre: dict[int, int] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """All injective maps of an arbitrary core into a host adjacency.
+
+    allowed[i] masks the host vertices permitted for core vertex i; pre fixes
+    anchored core vertices.  The placement plan comes from _embedding_plan;
+    a free vertex's candidates need host degree at least its core degree,
+    and the first free vertex's candidates are tried in ascending host
+    degree.
+    """
+    anchored_edges, steps = _embedding_plan(core_n, core_edges, tuple(sorted(pre or ())))
     mapping = [-1] * core_n
     used = 0
     if pre:
         for cv, hv in pre.items():
             if not allowed[cv] >> hv & 1 or used >> hv & 1:
                 return
-            for u in core_adj[cv]:
-                hu = pre.get(u)
-                if hu is not None and not adj[hv] >> hu & 1:
-                    return
             mapping[cv] = hv
             used |= 1 << hv
+        for a, b in anchored_edges:
+            if not adj[mapping[a]] >> mapping[b] & 1:
+                return
+    last = len(steps)
 
-    first_free = len(pre or {})
-
-    def rec(depth: int) -> Iterator[tuple[int, ...]]:
-        nonlocal used
-        if depth == core_n:
+    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
+        if i == last:
             yield tuple(mapping)
             return
-        cv = order[depth]
+        cv, back, need = steps[i]
         cand = allowed[cv] & ~used
-        for u in core_adj[cv]:
-            if mapping[u] >= 0:
-                cand &= adj[mapping[u]]
-        cand_list = [v for v in iter_bits(cand) if host_deg[v] >= core_deg[cv]]
-        if depth == first_free:
-            cand_list.sort(key=lambda v: (host_deg[v], v))
+        for u in back:
+            cand &= adj[mapping[u]]
+        cand_list = [v for v in iter_bits(cand) if adj[v].bit_count() >= need]
+        if i == 0:
+            cand_list.sort(key=lambda v: adj[v].bit_count())
         for hv in cand_list:
             mapping[cv] = hv
-            used |= 1 << hv
-            yield from rec(depth + 1)
-            used &= ~(1 << hv)
-            mapping[cv] = -1
+            yield from rec(i + 1, used | 1 << hv)
 
-    yield from rec(len(pre or {}))
+    yield from rec(0, used)
+
+
+@lru_cache(maxsize=256)
+def _combined_edges(core: BipartiteGraph) -> tuple[tuple[int, int], ...]:
+    """Core edges in combined labels: right-part vertices shifted by core.m."""
+    return tuple((a, core.m + b) for a, b in core.edges)
 
 
 def _match_distinct(masks: list[int]) -> list[int] | None:
@@ -399,12 +452,6 @@ def _combined_graph_view(g: Graph | BipartiteGraph) -> tuple[int, list[int], int
     return nv, adj, (1 << g.m) - 1, ((1 << g.n) - 1) << g.m
 
 
-def _core_allowed_masks(spec: PatternSpec, left_mask: int, right_mask: int, flip: bool) -> list[int]:
-    core = spec.core
-    first, second = (right_mask, left_mask) if flip else (left_mask, right_mask)
-    return [first] * core.m + [second] * core.n
-
-
 def _iter_pattern_embeddings(
     spec: PatternSpec,
     adj,
@@ -413,15 +460,14 @@ def _iter_pattern_embeddings(
     orientations: tuple[bool, ...] = (False,),
 ) -> Iterator[tuple[int, ...]]:
     core = spec.core
-    combined_edges = [(u, core.m + w) for u, w in core.edges]
     for flip in orientations:
+        lm, rm = (right_mask, left_mask) if flip else (left_mask, right_mask)
         if spec.is_complete:
-            lm, rm = (right_mask, left_mask) if flip else (left_mask, right_mask)
             for a, b in _iter_kst(adj, core.m, core.n, lm, rm):
                 yield a + b
         else:
-            allowed = _core_allowed_masks(spec, left_mask, right_mask, flip)
-            yield from _iter_core_embeddings(core.m + core.n, combined_edges, allowed, adj)
+            allowed = [lm] * core.m + [rm] * core.n
+            yield from _iter_core_embeddings(core.m + core.n, _combined_edges(core), allowed, adj)
 
 
 def _orientations_for(spec: PatternSpec, left_mask: int, right_mask: int) -> tuple[bool, ...]:
@@ -519,27 +565,32 @@ def _try_apex_match(
     forced: tuple[int, int] | None = None,
 ) -> ExpansionWitness | None:
     """Match distinct apexes to all core edges; forced = (edge index, apex)."""
-    core_mask = 0
+    taken = 0
     for v in core_map:
-        core_mask |= 1 << v
-    masks = []
-    for a, b in combined_edges:
-        ha, hb = core_map[a], core_map[b]
-        key = (ha, hb) if ha < hb else (hb, ha)
-        masks.append(pair_link.get(key, 0) & ~core_mask)
+        taken |= 1 << v
+    idx = -1
     if forced is not None:
         idx, apex = forced
-        if not masks[idx] >> apex & 1:
+        if taken >> apex & 1:
             return None
-        rest = [m & ~(1 << apex) for i, m in enumerate(masks) if i != idx]
-        matched = _match_distinct(rest)
-        if matched is None:
+        taken |= 1 << apex
+    masks = []
+    for i, (a, b) in enumerate(combined_edges):
+        ha, hb = core_map[a], core_map[b]
+        link = pair_link.get((ha, hb) if ha < hb else (hb, ha), 0)
+        if i == idx:
+            if not link >> apex & 1:
+                return None
+            continue
+        eligible = link & ~taken
+        if not eligible:
             return None
+        masks.append(eligible)
+    matched = _match_distinct(masks)
+    if matched is None:
+        return None
+    if forced is not None:
         matched.insert(idx, apex)
-    else:
-        matched = _match_distinct(masks)
-        if matched is None:
-            return None
     return ExpansionWitness(core_map, tuple(combined_edges), tuple(matched))
 
 
@@ -558,8 +609,7 @@ def find_expansion(
     nv, pair_link, host_left, host_right = _three_graph_state(h)
     adj = _shadow_adj(nv, pair_link)
     lm, rm = _expansion_placement_masks(spec, has_parts, host_left, host_right)
-    core = spec.core
-    combined_edges = [(u, core.m + w) for u, w in core.edges]
+    combined_edges = _combined_edges(spec.core)
     orients = _orientations_for(spec, lm, rm)
     for emb in _iter_pattern_embeddings(spec, adj, lm, rm, orients):
         witness = _try_apex_match(emb, combined_edges, pair_link)
@@ -573,13 +623,54 @@ def iter_graph_embeddings(g: Graph, spec: PatternSpec) -> Iterator[tuple[int, ..
     if spec.expansion:
         raise ValueError("expansion pattern against a graph host")
     core = spec.core
-    combined_edges = [(u, core.m + w) for u, w in core.edges]
     full = (1 << g.n) - 1
     allowed = [full] * (core.m + core.n)
-    yield from _iter_core_embeddings(core.m + core.n, combined_edges, allowed, list(g.adj))
+    yield from _iter_core_embeddings(core.m + core.n, _combined_edges(core), allowed, list(g.adj))
 
 
 # -- solver-facing incremental checks (host state as bitmask adjacency) --
+
+
+def _iter_through_pair(
+    spec: PatternSpec,
+    adj,
+    left_mask: int,
+    right_mask: int,
+    pair: tuple[int, int],
+    avoid: int = 0,
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Core embeddings that put some core edge on the host pair, as
+    (core edge index, embedding); host vertices in the avoid mask stay unused.
+
+    A complete core K{s,t} anchors core edge 0 only (every edge of it is
+    alike) and runs the anchored K{s,t} search, one embedding per vertex
+    set.  Any other core anchors each edge in turn and follows its cached
+    embedding plan.
+    """
+    core = spec.core
+    u, v = pair
+    for flip in _orientations_for(spec, left_mask, right_mask):
+        lm, rm = (right_mask, left_mask) if flip else (left_mask, right_mask)
+        lm &= ~avoid
+        rm &= ~avoid
+        if spec.is_complete:
+            # with equal sides and masks, a copy with v on the s-side is the
+            # same vertex set as one with u there: one direction suffices
+            directions = ((u, v),) if core.m == core.n and lm == rm else ((u, v), (v, u))
+            for ha, hb in directions:
+                if lm >> ha & 1 and rm >> hb & 1 and adj[ha] >> hb & 1:
+                    for s_side, t_side in _iter_kst(adj, core.m, core.n, lm, rm, (ha, hb)):
+                        yield 0, s_side + t_side
+            continue
+        combined_edges = _combined_edges(core)
+        allowed = [lm] * core.m + [rm] * core.n
+        for ei, (a, b) in enumerate(combined_edges):
+            for ha, hb in ((u, v), (v, u)):
+                if allowed[a] >> ha & 1 and allowed[b] >> hb & 1:
+                    for emb in _iter_core_embeddings(
+                        core.m + core.n, combined_edges, allowed, adj, {a: ha, b: hb}
+                    ):
+                        yield ei, emb
 
 
 def pattern_through_edge(
@@ -591,19 +682,8 @@ def pattern_through_edge(
     right_mask: int,
 ) -> bool:
     """Does some copy of the pattern use host edge (u, v)?  adj includes it."""
-    core = spec.core
-    combined_edges = [(a, core.m + b) for a, b in core.edges]
-    anchor_edges = [combined_edges[0]] if spec.is_complete else combined_edges
-    for flip in _orientations_for(spec, left_mask, right_mask):
-        allowed = _core_allowed_masks(spec, left_mask, right_mask, flip)
-        for a, b in anchor_edges:
-            for ha, hb in ((u, v), (v, u)):
-                if not (allowed[a] >> ha & 1 and allowed[b] >> hb & 1):
-                    continue
-                for _ in _iter_core_embeddings(
-                    core.m + core.n, combined_edges, allowed, adj, pre={a: ha, b: hb}
-                ):
-                    return True
+    for _ in _iter_through_pair(spec, adj, left_mask, right_mask, (u, v)):
+        return True
     return False
 
 
@@ -619,32 +699,19 @@ def expansion_through_triple(
     """Does some expansion copy use the given host triple?  pair_link includes it.
 
     Any new copy must realize one core edge as (pair of the triple, apex =
-    its third vertex), so the search anchors each decomposition in turn.
+    its third vertex), so the search anchors each decomposition in turn,
+    keeps the apex out of the core and forces it onto the anchored edge.
     """
     if not spec.expansion:
         raise ValueError("graph pattern against a 3-graph host")
     lm, rm = _expansion_placement_masks(spec, host_has_parts, left_mask, right_mask)
     adj = _shadow_adj(nv, pair_link)
-    core = spec.core
-    combined_edges = [(a, core.m + b) for a, b in core.edges]
-    anchor_idx = [0] if spec.is_complete else list(range(len(combined_edges)))
-    a_, b_, c_ = triple
-    decomps = [((a_, b_), c_), ((a_, c_), b_), ((b_, c_), a_)]
-    for flip in _orientations_for(spec, lm, rm):
-        allowed = _core_allowed_masks(spec, lm, rm, flip)
-        for (pu, pv), apex in decomps:
-            for ei in anchor_idx:
-                ca, cb = combined_edges[ei]
-                for ha, hb in ((pu, pv), (pv, pu)):
-                    if not (allowed[ca] >> ha & 1 and allowed[cb] >> hb & 1):
-                        continue
-                    for emb in _iter_core_embeddings(
-                        core.m + core.n, combined_edges, allowed, adj, pre={ca: ha, cb: hb}
-                    ):
-                        if apex in emb:
-                            continue
-                        if _try_apex_match(emb, combined_edges, pair_link, forced=(ei, apex)):
-                            return True
+    combined_edges = _combined_edges(spec.core)
+    a, b, c = triple
+    for pair, apex in (((a, b), c), ((a, c), b), ((b, c), a)):
+        for ei, emb in _iter_through_pair(spec, adj, lm, rm, pair, 1 << apex):
+            if _try_apex_match(emb, combined_edges, pair_link, forced=(ei, apex)):
+                return True
     return False
 
 
