@@ -340,10 +340,9 @@ def _embedding_plan(
     for a, b in core_edges:
         core_adj[a].append(b)
         core_adj[b].append(a)
-    order = list(anchored)
     placed = set(anchored)
     steps = []
-    while len(order) < core_n:
+    while len(placed) < core_n:
         best, best_key = -1, (-1, 0)
         for cv in range(core_n):
             if cv in placed:
@@ -353,7 +352,6 @@ def _embedding_plan(
             if key > best_key:
                 best, best_key = cv, key
         steps.append((best, tuple(u for u in core_adj[best] if u in placed), len(core_adj[best])))
-        order.append(best)
         placed.add(best)
     anchored_edges = tuple((a, b) for a, b in core_edges if a in anchored and b in anchored)
     return anchored_edges, tuple(steps)
