@@ -69,9 +69,11 @@ from .hypergraph import (
 )
 from .patterns import (
     _iter_kst,
+    complete_bipartite,
     greedy_extend,
     heavy_shadow_graph,
     parse_pattern,
+    verify_expansion_witness,
 )
 from .solvers import BOUND_IDS, eval_bound, ex_exact, z_exact, z_expansion_exact
 
@@ -363,21 +365,6 @@ def _suite_fullness(n: int, count: int, seed: int) -> tuple[int, dict]:
     return int(failures > 0), {"cases": count, "failures": failures}
 
 
-def _witness_is_genuine(h: ThreeGraph, s_side, t_side, witness) -> bool:
-    core = set(s_side) | set(t_side)
-    if len(set(witness.apexes)) != len(witness.apexes):
-        return False
-    if core & set(witness.apexes):
-        return False
-    edge_set = set(h.edges)
-    core_map = witness.core_map
-    for (i, j), apex in zip(witness.core_edges, witness.apexes):
-        triple = tuple(sorted((core_map[i], core_map[j], apex)))
-        if triple not in edge_set:
-            return False
-    return True
-
-
 def _suite_greedy_extend(n: int, count: int, seed: int) -> tuple[int, dict]:
     rng = random.Random(seed)
     failures = 0
@@ -387,6 +374,7 @@ def _suite_greedy_extend(n: int, count: int, seed: int) -> tuple[int, dict]:
         h = _random_3graph(rng, nn, rng.uniform(0.2, 0.5))
         for s, t in ((1, 1), (1, 2), (2, 1), (2, 2)):
             need = s * t + s + t
+            spec = complete_bipartite(s, t, expansion=True)
             heavy = heavy_shadow_graph(h, need)
             for s_side in combinations(range(nn), s):
                 common = -1
@@ -399,7 +387,7 @@ def _suite_greedy_extend(n: int, count: int, seed: int) -> tuple[int, dict]:
                     except (ValueError, InvariantViolationError):
                         failures += 1
                         continue
-                    if _witness_is_genuine(h, s_side, t_side, w):
+                    if verify_expansion_witness(h, spec, w):
                         extended += 1
                     else:
                         failures += 1

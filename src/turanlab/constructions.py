@@ -208,24 +208,6 @@ class DeletionResult:
     seed: int
 
 
-def _is_forest(core: BipartiteGraph) -> bool:
-    nv = core.m + core.n
-    parent = list(range(nv))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, w in core.edges:
-        a, b = find(u), find(core.m + w)
-        if a == b:
-            return False
-        parent[a] = b
-    return True
-
-
 def random_deletion_lower_bound(n: int, spec: PatternSpec, seed: int = 0) -> DeletionResult:
     """Sample G(n, p*) and delete one edge from each surviving pattern copy.
 
@@ -243,7 +225,7 @@ def random_deletion_lower_bound(n: int, spec: PatternSpec, seed: int = 0) -> Del
     e = core.edge_count
     if n < v:
         raise ValueError(f"need n >= {v} host vertices")
-    if e < 2 or _is_forest(core):
+    if e < 2 or e == v - core.component_count():  # forests have e = v - components
         raise ValueError("pattern must contain a cycle")
     prob = 0.5 * n ** (-(v - 2) / (e - 1))
     rng = random.Random(seed)

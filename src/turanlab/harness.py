@@ -48,20 +48,12 @@ from .patterns import (
     PatternSpec,
     complete_bipartite,
     find_expansion,
+    normalize_specs,
     remove_vertex,
 )
 from .solvers import ex_exact, z_exact
 
 VERDICT_STATUSES = ("holds", "violated", "out-of-regime")
-
-
-def _as_specs(patterns) -> tuple[PatternSpec, ...]:
-    if isinstance(patterns, PatternSpec):
-        return (patterns,)
-    specs = tuple(patterns)
-    if not specs:
-        raise ValueError("need at least one pattern")
-    return specs
 
 
 def _jsonable(x):
@@ -186,7 +178,7 @@ def boundedness_scan(patterns, n: int, alpha, host_kind: str = "graph") -> ScanR
     for 3-graphs.  When even the unconstrained optimum is 0 the ratio is 1
     by convention (there is no gap to speak of).
     """
-    specs = _as_specs(patterns)
+    specs = normalize_specs(patterns)
     fa = Fraction(alpha)
     if not 0 < fa <= 1:
         raise ValueError("alpha must lie in (0, 1]")
@@ -368,37 +360,6 @@ def check_region_freeness(h: ThreeGraph, v: int, s: int, t: int) -> Verdict:
     )
 
 
-def _core_components(spec: PatternSpec) -> int:
-    core = spec.core
-    nv = core.m + core.n
-    if nv == 0:
-        return 0
-    adj: list[set[int]] = [set() for _ in range(nv)]
-    for u, w in core.edges:
-        adj[u].add(core.m + w)
-        adj[core.m + w].add(u)
-    seen = [False] * nv
-    comps = 0
-    for start in range(nv):
-        if seen[start]:
-            continue
-        comps += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-    return comps
-
-
-def _core_is_forest(spec: PatternSpec) -> bool:
-    core = spec.core
-    return len(core.edges) == core.m + core.n - _core_components(spec)
-
-
 def monotonicity_check(pattern: PatternSpec, m: int, n: int, r: int) -> Verdict:
     """Exact check of ex(m,F) <= (1 - ((n-m-r)/n)^r) * ex(n,F).
 
@@ -407,7 +368,7 @@ def monotonicity_check(pattern: PatternSpec, m: int, n: int, r: int) -> Verdict:
     """
     if pattern.expansion:
         raise ValueError("needs a plain graph pattern")
-    if _core_components(pattern) != 1:
+    if pattern.core.component_count() != 1:
         raise ValueError("needs a connected pattern")
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -456,7 +417,9 @@ def removal_ratio(pattern: PatternSpec, v: int, n: int) -> RemovalRatioReport:
     if reduced.core.edge_count == 0:
         raise ValueError("removing that vertex leaves no core edges")
     z_val = z_exact(n, n, reduced).value
-    flag = "no cycle: asymptotic comparison inapplicable" if _core_is_forest(pattern) else None
+    core = pattern.core
+    forest = core.edge_count == core.m + core.n - core.component_count()
+    flag = "no cycle: asymptotic comparison inapplicable" if forest else None
     return RemovalRatioReport(
         pattern=pattern.display_name(),
         vertex=v,

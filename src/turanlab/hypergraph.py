@@ -166,6 +166,23 @@ class BipartiteGraph:
     def has_edge(self, u: int, w: int) -> bool:
         return bool(self.left_adj[u] >> w & 1)
 
+    def component_count(self) -> int:
+        """Connected components over both parts, isolated vertices included."""
+        nbr = [a << self.m for a in self.left_adj] + list(self.right_adj)
+        unseen = (1 << (self.m + self.n)) - 1
+        count = 0
+        while unseen:
+            count += 1
+            comp = frontier = unseen & -unseen
+            while frontier:
+                reach = 0
+                for v in iter_bits(frontier):
+                    reach |= nbr[v]
+                frontier = reach & ~comp
+                comp |= frontier
+            unseen &= ~comp
+        return count
+
     def to_json_dict(self) -> dict:
         return {
             "kind": "bipartite",
@@ -456,6 +473,8 @@ def from_graph6(text: str) -> Graph:
     data = [c - 63 for c in text.strip().encode("ascii")]
     if any(not 0 <= d <= 63 for d in data):
         raise ValueError("invalid graph6 byte")
+    if not data or (data[0] == 63 and len(data) < 4):
+        raise ValueError("graph6 vertex count missing or truncated")
     if data[0] == 63:  # 126 - 63: long form
         n = data[1] << 12 | data[2] << 6 | data[3]
         data = data[4:]

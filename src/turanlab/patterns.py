@@ -229,11 +229,40 @@ def parse_pattern(text: str) -> PatternSpec:
     if base.startswith("@"):
         with open(base[1:], encoding="utf-8") as fh:
             d = json.load(fh)
-        if d.get("kind") != "bipartite":
-            raise ValueError("pattern files must contain a bipartite graph")
-        core = BipartiteGraph(d["m"], d["n"], [tuple(e) for e in d["edges"]])
+        where = f"pattern file {base[1:]}"
+        if not isinstance(d, dict) or d.get("kind") != "bipartite":
+            raise ValueError(f"{where}: must contain a bipartite graph")
+        for key in ("m", "n"):
+            if type(d.get(key)) is not int or d[key] < 0:
+                raise ValueError(f"{where}: field {key!r} must be an integer >= 0")
+        edges = d.get("edges")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
+            for e in edges
+        ):
+            raise ValueError(f"{where}: field 'edges' must be a list of integer pairs")
+        core = BipartiteGraph(d["m"], d["n"], [tuple(e) for e in edges])
         return PatternSpec(core, expansion, placement, base)
     raise ValueError(f"cannot parse pattern: {text!r}")
+
+
+def normalize_specs(patterns) -> tuple[PatternSpec, ...]:
+    """One pattern spec or an iterable of them, as a non-empty tuple.
+
+    Every entry must be a PatternSpec with at least one core edge.
+    """
+    if isinstance(patterns, PatternSpec):
+        specs: tuple[PatternSpec, ...] = (patterns,)
+    else:
+        specs = tuple(patterns)
+    if not specs:
+        raise ValueError("need at least one pattern")
+    for spec in specs:
+        if not isinstance(spec, PatternSpec):
+            raise ValueError(f"not a pattern spec: {spec!r}")
+        if spec.core.edge_count == 0:
+            raise ValueError("pattern needs at least one core edge")
+    return specs
 
 
 def remove_vertex(spec: PatternSpec, v: int) -> PatternSpec:
@@ -808,6 +837,10 @@ def verify_expansion_witness(
         left = right = set(range(h.n))
     core = spec.core
     m = w.core_map
+    if len(m) != core.m + core.n or len(w.apexes) != core.edge_count:
+        return False
+    if sorted(w.core_edges) != sorted(_combined_edges(core)):
+        return False
     if len(set(m)) != len(m) or len(set(w.apexes)) != len(w.apexes):
         return False
     if set(w.apexes) & set(m):
@@ -825,4 +858,4 @@ def verify_expansion_witness(
         tri = tuple(sorted((m[a], m[b], apex)))
         if tri not in edge_set:
             return False
-    return len(w.core_edges) == len(core.edges)
+    return True

@@ -1,7 +1,7 @@
 """Exact extremal solvers and closed-form bound certificates.
 
-Three branch-and-bound solvers compute exact extremal edge counts on hosts
-small enough for exhaustive reasoning:
+One branch-and-bound engine computes exact extremal edge counts on hosts
+small enough for exhaustive reasoning.  Three entry points set it up:
 
 * ``ex_exact``: pattern-free graphs or 3-graphs on ``n`` vertices, with an
   optional maximum-degree floor (only hosts whose largest degree reaches
@@ -11,15 +11,19 @@ small enough for exhaustive reasoning:
 * ``z_expansion_exact``: semibipartite 3-graph hosts avoiding one ordered
   expansion pattern and one core-in-V1 expansion pattern simultaneously.
 
-All three walk the lexicographic edge universe depth first, trying
-inclusion before exclusion, and prune a branch when (i) the new edge
-completes a forbidden pattern, (ii) the incumbent cannot be beaten even if
-every remaining edge were added, or (iii) degree-ordered symmetry breaking
-rules the branch out.  Because inclusion is tried first and the incumbent
-is replaced only on strict improvement, the reported witness is the
-lexicographically smallest optimal edge set among the hosts the
-symmetry-reduced search visits.  Every witness is re-verified against the
-full pattern finders before being returned.
+Each entry point hands the engine its lexicographic edge universe, the
+vertices whose degree each edge raises, and a host state (adjacency
+bitmasks for graphs, pair links for 3-graphs) that adds, removes and tests
+an edge.  The engine walks the universe depth first, trying inclusion
+before exclusion, and prunes a branch when (i) the new edge completes a
+forbidden pattern, (ii) the incumbent cannot be beaten even if every
+remaining edge were added, (iii) degree-ordered symmetry breaking rules the
+branch out, checked where a vertex's degree becomes final, or (iv) no
+vertex can still reach the degree floor.  Because inclusion is tried first
+and the incumbent is replaced only on strict improvement, the reported
+witness is the lexicographically smallest optimal edge set among the hosts
+the symmetry-reduced search visits.  Every witness is re-verified against
+the full pattern finders before being returned.
 
 Rule (i) is the hot path: one `pattern_through_edge` or
 `expansion_through_triple` call per included edge.  Those calls reuse a
@@ -49,6 +53,7 @@ from .patterns import (
     find_expansion,
     find_in_graph,
     find_ordered_bipartite,
+    normalize_specs,
     pattern_through_edge,
 )
 
@@ -83,43 +88,161 @@ class SolveResult:
         }
 
 
-def _normalize_specs(patterns) -> tuple[PatternSpec, ...]:
-    if isinstance(patterns, PatternSpec):
-        specs: tuple[PatternSpec, ...] = (patterns,)
-    else:
-        specs = tuple(patterns)
-    if not specs:
-        raise ValueError("need at least one pattern")
-    for spec in specs:
-        if not isinstance(spec, PatternSpec):
-            raise ValueError(f"not a pattern spec: {spec!r}")
-        if spec.core.edge_count == 0:
-            raise ValueError("pattern needs at least one core edge")
-    return specs
+class _PairState:
+    """Adjacency bitmasks of a graph host; an edge hits if it completes a pattern copy."""
+
+    __slots__ = ("adj", "specs", "left_mask", "right_mask")
+
+    def __init__(self, nv: int, specs, left_mask: int, right_mask: int):
+        self.adj = [0] * nv
+        self.specs = specs
+        self.left_mask = left_mask
+        self.right_mask = right_mask
+
+    def add(self, e: tuple[int, int]) -> None:
+        u, v = e
+        self.adj[u] |= 1 << v
+        self.adj[v] |= 1 << u
+
+    def remove(self, e: tuple[int, int]) -> None:
+        u, v = e
+        self.adj[u] &= ~(1 << v)
+        self.adj[v] &= ~(1 << u)
+
+    def hits(self, e: tuple[int, int]) -> bool:
+        u, v = e
+        adj, lm, rm = self.adj, self.left_mask, self.right_mask
+        return any(pattern_through_edge(adj, s, u, v, lm, rm) for s in self.specs)
 
 
-def _sym_boundaries(finalize_at: dict[int, int], limit: int) -> dict[int, tuple[int, ...]]:
-    """Group vertices by the universe index where their degree is final."""
-    acc: dict[int, list[int]] = {}
-    for u, fi in finalize_at.items():
-        acc.setdefault(min(fi, limit), []).append(u)
-    return {i: tuple(sorted(us)) for i, us in acc.items()}
+class _TripleState:
+    """Pair links (pair -> bitmask of third vertices) of a 3-graph host, fed
+    sorted triples; a triple hits if it completes an expansion copy."""
+
+    __slots__ = ("nv", "pair_link", "specs", "left_mask", "right_mask", "has_parts")
+
+    def __init__(self, nv: int, specs, left_mask: int, right_mask: int, has_parts: bool):
+        self.nv = nv
+        self.pair_link: dict[tuple[int, int], int] = {}
+        self.specs = specs
+        self.left_mask = left_mask
+        self.right_mask = right_mask
+        self.has_parts = has_parts
+
+    def add(self, t: tuple[int, int, int]) -> None:
+        a, b, c = t
+        link = self.pair_link
+        for x, y, w in ((a, b, c), (a, c, b), (b, c, a)):
+            link[(x, y)] = link.get((x, y), 0) | (1 << w)
+
+    def remove(self, t: tuple[int, int, int]) -> None:
+        a, b, c = t
+        link = self.pair_link
+        for x, y, w in ((a, b, c), (a, c, b), (b, c, a)):
+            left = link[(x, y)] & ~(1 << w)
+            if left:
+                link[(x, y)] = left
+            else:
+                del link[(x, y)]
+
+    def hits(self, t: tuple[int, int, int]) -> bool:
+        return any(
+            expansion_through_triple(
+                self.nv, self.pair_link, s, t, self.left_mask, self.right_mask, self.has_parts
+            )
+            for s in self.specs
+        )
 
 
-def _link_add(pair_link: dict, t: tuple[int, int, int]) -> None:
-    a, b, c = t
-    for x, y, w in ((a, b, c), (a, c, b), (b, c, a)):
-        pair_link[(x, y)] = pair_link.get((x, y), 0) | (1 << w)
+def _branch_and_bound(
+    universe: Sequence[tuple],
+    raises: Sequence[tuple[int, ...]],
+    nv_deg: int,
+    divisor: int,
+    symmetry: bool,
+    state,
+    floor: int | None = None,
+) -> tuple[int, tuple[int, ...], int]:
+    """Largest subset of the edge universe that the host state accepts.
 
+    Edges are decided in universe order, inclusion first; an included edge
+    must not make ``state.hits`` true.  ``raises[i]`` lists the degree-tracked
+    vertices (labels below ``nv_deg``) whose degree edge i raises; every edge
+    raises exactly ``divisor`` of them, so tracked degrees sum to
+    ``divisor * |E|``.  A vertex's degree is final one past the last edge
+    that raises it; with ``symmetry`` set, a branch is cut there when that
+    degree exceeds its predecessor's.  With ``floor`` set, a branch is cut
+    once no tracked vertex can still reach that degree.
 
-def _link_remove(pair_link: dict, t: tuple[int, int, int]) -> None:
-    a, b, c = t
-    for x, y, w in ((a, b, c), (a, c, b), (b, c, a)):
-        left = pair_link[(x, y)] & ~(1 << w)
-        if left:
-            pair_link[(x, y)] = left
-        else:
-            del pair_link[(x, y)]
+    Returns (best count, universe indices of the first best set found,
+    nodes entered); best is -1 when no leaf is feasible.
+    """
+    L = len(universe)
+    final_at: dict[int, int] = {}
+    for i, vs in enumerate(raises):
+        for x in vs:
+            final_at[x] = i + 1
+    sym_checks: dict[int, list[int]] = {}
+    if symmetry:
+        for u in sorted(final_at):
+            if u:
+                sym_checks.setdefault(final_at[u], []).append(u)
+    suffix: list[list[int]] | None = None
+    if floor is not None:
+        suffix = [[0] * nv_deg for _ in range(L + 1)]
+        for i in range(L - 1, -1, -1):
+            row = list(suffix[i + 1])
+            for x in raises[i]:
+                row[x] += 1
+            suffix[i] = row
+
+    add, remove, hits = state.add, state.remove, state.hits
+    deg = [0] * nv_deg
+    chosen: list[int] = []
+    best = -1
+    best_chosen: tuple[int, ...] = ()
+    nodes = 0
+
+    def rec(i: int, count: int) -> None:
+        nonlocal best, best_chosen, nodes
+        nodes += 1
+        us = sym_checks.get(i)
+        if us:
+            for u in us:
+                if deg[u] > deg[u - 1]:
+                    return
+            u = us[-1]
+            # degrees of vertices >= u are capped by deg[u-1] on any
+            # surviving leaf, bounding the total edge count
+            cap = sum(deg[:u]) + (nv_deg - u) * deg[u - 1]
+            if cap // divisor <= best:
+                return
+        if suffix is not None:
+            row = suffix[i]
+            if all(deg[v] + row[v] < floor for v in range(nv_deg)):
+                return
+        if count + (L - i) <= best:
+            return
+        if i == L:
+            best = count
+            best_chosen = tuple(chosen)
+            return
+        e = universe[i]
+        add(e)
+        if not hits(e):
+            vs = raises[i]
+            for x in vs:
+                deg[x] += 1
+            chosen.append(i)
+            rec(i + 1, count + 1)
+            chosen.pop()
+            for x in vs:
+                deg[x] -= 1
+        remove(e)
+        rec(i + 1, count)
+
+    rec(0, 0)
+    return best, best_chosen, nodes
 
 
 def ex_exact(
@@ -138,9 +261,10 @@ def ex_exact(
     host on n vertices can meet raises ValueError; a floor that merely
     conflicts with the patterns yields value 0 and witness None.
     """
-    specs = _normalize_specs(patterns)
+    specs = normalize_specs(patterns)
     if n < 0:
         raise ValueError("n must be >= 0")
+    full = (1 << n) - 1
     if host_kind == "graph":
         if n > MAX_EX_GRAPH_VERTICES:
             raise CapExceededError(f"graph solver capped at n <= {MAX_EX_GRAPH_VERTICES}")
@@ -149,9 +273,9 @@ def ex_exact(
                 raise ValueError("expansion pattern against a graph host")
             if spec.placement != "unordered":
                 raise ValueError("graph hosts have no parts; use unordered placement")
-        universe = list(combinations(range(n), 2))
-        max_degree = max(n - 1, 0)
         rank = 2
+        max_degree = max(n - 1, 0)
+        state = _PairState(n, specs, full, full)
     elif host_kind == "3graph":
         if n > MAX_EX_THREE_VERTICES:
             raise CapExceededError(f"3-graph solver capped at n <= {MAX_EX_THREE_VERTICES}")
@@ -160,9 +284,9 @@ def ex_exact(
                 raise ValueError("graph pattern against a 3-graph host")
             if spec.placement != "unordered":
                 raise ValueError("3-graph hosts have no parts; use unordered placement")
-        universe = list(combinations(range(n), 3))
-        max_degree = (n - 1) * (n - 2) // 2 if n >= 2 else 0
         rank = 3
+        max_degree = (n - 1) * (n - 2) // 2 if n >= 2 else 0
+        state = _TripleState(n, specs, full, full, False)
     else:
         raise ValueError(f"unknown host kind {host_kind!r}")
 
@@ -178,102 +302,17 @@ def ex_exact(
         if floor == 0:
             floor = None
 
-    L = len(universe)
-    suffix_inc: list[list[int]] | None = None
-    if floor is not None:
-        suffix_inc = [[0] * n for _ in range(L + 1)]
-        for i in range(L - 1, -1, -1):
-            row = list(suffix_inc[i + 1])
-            for x in universe[i]:
-                row[x] += 1
-            suffix_inc[i] = row
+    universe = list(combinations(range(n), rank))
+    best, chosen, nodes = _branch_and_bound(universe, universe, n, rank, symmetry, state, floor)
 
-    sym_checks: dict[int, tuple[int, ...]] = {}
-    if symmetry and n >= 2 and L:
-        block_start: dict[int, int] = {}
-        for i, e in enumerate(universe):
-            block_start.setdefault(e[0], i)
-        sym_checks = _sym_boundaries(
-            {u: block_start.get(u + 1, L) for u in range(1, n)}, L
-        )
-
-    full = (1 << n) - 1
-    adj = [0] * n
-    pair_link: dict[tuple[int, int], int] = {}
-    deg = [0] * n
-    chosen: list[tuple] = []
-    best = -1
-    best_edges: tuple = ()
-    found = False
-    nodes = 0
-
-    def rec(i: int, count: int) -> None:
-        nonlocal best, best_edges, found, nodes
-        nodes += 1
-        us = sym_checks.get(i)
-        if us:
-            for u in us:
-                if deg[u] > deg[u - 1]:
-                    return
-            u = us[-1]
-            # degrees of vertices >= u are capped by deg[u-1] on any
-            # surviving leaf, bounding the total edge count
-            cap = sum(deg[v] for v in range(u)) + (n - u) * deg[u - 1]
-            if cap // rank <= best:
-                return
-        if suffix_inc is not None:
-            row = suffix_inc[i]
-            if all(deg[v] + row[v] < floor for v in range(n)):
-                return
-        if count + (L - i) <= best:
-            return
-        if i == L:
-            best = count
-            best_edges = tuple(chosen)
-            found = True
-            return
-        e = universe[i]
-        if rank == 2:
-            u, v = e
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            hit = any(pattern_through_edge(adj, s, u, v, full, full) for s in specs)
-            if not hit:
-                deg[u] += 1
-                deg[v] += 1
-                chosen.append(e)
-                rec(i + 1, count + 1)
-                chosen.pop()
-                deg[u] -= 1
-                deg[v] -= 1
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-        else:
-            _link_add(pair_link, e)
-            hit = any(
-                expansion_through_triple(n, pair_link, s, e, full, full, False)
-                for s in specs
-            )
-            if not hit:
-                for x in e:
-                    deg[x] += 1
-                chosen.append(e)
-                rec(i + 1, count + 1)
-                chosen.pop()
-                for x in e:
-                    deg[x] -= 1
-            _link_remove(pair_link, e)
-        rec(i + 1, count)
-
-    rec(0, 0)
-
-    if not found:
+    if best < 0:
         return SolveResult(0, None, nodes)
+    edges = [universe[i] for i in chosen]
     if host_kind == "graph":
-        witness: Graph | ThreeGraph = Graph(n, best_edges)
+        witness: Graph | ThreeGraph = Graph(n, edges)
         misses = [find_in_graph(witness, s) is None for s in specs]
     else:
-        witness = ThreeGraph(n, best_edges)
+        witness = ThreeGraph(n, edges)
         misses = [find_expansion(witness, s) is None for s in specs]
     if not all(misses) or witness.edge_count != best:
         raise InvariantViolationError("witness failed the independent freeness re-check")
@@ -292,7 +331,7 @@ def z_exact(
     pattern's left part to the host's left part; unordered forbids both
     orientations.
     """
-    specs = _normalize_specs(patterns)
+    specs = normalize_specs(patterns)
     if m < 0 or n < 0:
         raise ValueError("part sizes must be >= 0")
     if m * n > MAX_Z_CELLS:
@@ -301,61 +340,14 @@ def z_exact(
         if spec.expansion:
             raise ValueError("expansion pattern against a bipartite host")
 
-    universe = [(u, w) for u in range(m) for w in range(n)]
-    L = len(universe)
-    left_mask = (1 << m) - 1
-    right_mask = ((1 << n) - 1) << m
+    # host labels put the right part after the left; only left degrees are tracked
+    cells = [(u, w) for u in range(m) for w in range(n)]
+    state = _PairState(m + n, specs, (1 << m) - 1, ((1 << n) - 1) << m)
+    best, chosen, nodes = _branch_and_bound(
+        [(u, m + w) for u, w in cells], [(u,) for u, _ in cells], m, 1, symmetry, state
+    )
 
-    sym_checks: dict[int, tuple[int, ...]] = {}
-    if symmetry and m >= 2 and L:
-        sym_checks = _sym_boundaries({u: (u + 1) * n for u in range(1, m)}, L)
-
-    adj = [0] * (m + n)
-    deg = [0] * m
-    chosen: list[tuple[int, int]] = []
-    best = -1
-    best_edges: tuple = ()
-    nodes = 0
-
-    def rec(i: int, count: int) -> None:
-        nonlocal best, best_edges, nodes
-        nodes += 1
-        us = sym_checks.get(i)
-        if us:
-            for u in us:
-                if deg[u] > deg[u - 1]:
-                    return
-            u = us[-1]
-            # every edge has one left endpoint, so left degrees sum to |E|
-            cap = sum(deg[v] for v in range(u)) + (m - u) * deg[u - 1]
-            if cap <= best:
-                return
-        if count + (L - i) <= best:
-            return
-        if i == L:
-            best = count
-            best_edges = tuple(chosen)
-            return
-        u, w = universe[i]
-        hw = m + w
-        adj[u] |= 1 << hw
-        adj[hw] |= 1 << u
-        hit = any(
-            pattern_through_edge(adj, s, u, hw, left_mask, right_mask) for s in specs
-        )
-        if not hit:
-            deg[u] += 1
-            chosen.append((u, w))
-            rec(i + 1, count + 1)
-            chosen.pop()
-            deg[u] -= 1
-        adj[u] &= ~(1 << hw)
-        adj[hw] &= ~(1 << u)
-        rec(i + 1, count)
-
-    rec(0, 0)
-
-    witness = BipartiteGraph(m, n, best_edges)
+    witness = BipartiteGraph(m, n, [cells[i] for i in chosen])
     if any(find_ordered_bipartite(witness, s) is not None for s in specs):
         raise InvariantViolationError("witness failed the independent freeness re-check")
     if witness.edge_count != best:
@@ -388,71 +380,14 @@ def z_expansion_exact(
         )
     specs = (ordered_pattern, core_in_v1_pattern)
 
-    pairs = list(combinations(range(m), 2))
-    universe = [(u, v, w) for (u, v) in pairs for w in range(n)]
-    L = len(universe)
-    nv = m + n
-    left_mask = (1 << m) - 1
-    right_mask = ((1 << n) - 1) << m
+    # host labels put the right part after the left; only left degrees are tracked
+    cells = [(u, v, w) for u, v in combinations(range(m), 2) for w in range(n)]
+    state = _TripleState(m + n, specs, (1 << m) - 1, ((1 << n) - 1) << m, True)
+    best, chosen, nodes = _branch_and_bound(
+        [(u, v, m + w) for u, v, w in cells], [(u, v) for u, v, _ in cells], m, 2, symmetry, state
+    )
 
-    sym_checks: dict[int, tuple[int, ...]] = {}
-    if symmetry and m >= 2 and L:
-        pairs_upto = {}
-        cnt = 0
-        for u in range(m):
-            cnt += m - 1 - u
-            pairs_upto[u] = cnt
-        sym_checks = _sym_boundaries(
-            {u: pairs_upto[u] * n for u in range(1, m)}, L
-        )
-
-    pair_link: dict[tuple[int, int], int] = {}
-    deg = [0] * m
-    chosen: list[tuple[int, int, int]] = []
-    best = -1
-    best_edges: tuple = ()
-    nodes = 0
-
-    def rec(i: int, count: int) -> None:
-        nonlocal best, best_edges, nodes
-        nodes += 1
-        us = sym_checks.get(i)
-        if us:
-            for u in us:
-                if deg[u] > deg[u - 1]:
-                    return
-            u = us[-1]
-            # every edge has two left endpoints, so left degrees sum to 2|E|
-            cap = sum(deg[v] for v in range(u)) + (m - u) * deg[u - 1]
-            if cap // 2 <= best:
-                return
-        if count + (L - i) <= best:
-            return
-        if i == L:
-            best = count
-            best_edges = tuple(chosen)
-            return
-        u, v, w = universe[i]
-        t = (u, v, m + w)
-        _link_add(pair_link, t)
-        hit = any(
-            expansion_through_triple(nv, pair_link, s, t, left_mask, right_mask, True)
-            for s in specs
-        )
-        if not hit:
-            deg[u] += 1
-            deg[v] += 1
-            chosen.append((u, v, w))
-            rec(i + 1, count + 1)
-            chosen.pop()
-            deg[u] -= 1
-            deg[v] -= 1
-        _link_remove(pair_link, t)
-        rec(i + 1, count)
-
-    rec(0, 0)
-
-    witness = SemibipartiteThreeGraph(m, n, best_edges)
+    witness = SemibipartiteThreeGraph(m, n, [cells[i] for i in chosen])
     if any(find_expansion(witness, s) is not None for s in specs):
         raise InvariantViolationError("witness failed the independent freeness re-check")
     if witness.edge_count != best:

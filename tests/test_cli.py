@@ -255,3 +255,24 @@ class TestPatternFiles:
     def test_pattern_file_missing(self):
         code, _, _ = run_cli("solve", "ex", "--n", "5", "--pattern", "@/nope.json")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "core, field",
+    [
+        ({"kind": "bipartite", "m": "x", "n": 2, "edges": []}, "'m'"),
+        ({"kind": "bipartite", "n": 2, "edges": []}, "'m'"),
+        ({"kind": "bipartite", "m": 2, "n": -1, "edges": []}, "'n'"),
+        ({"kind": "bipartite", "m": 2, "n": 2, "edges": [[0, "a"]]}, "'edges'"),
+        ({"kind": "bipartite", "m": 2, "n": 2, "edges": [[0, 0, 1]]}, "'edges'"),
+        ({"kind": "bipartite", "m": 2, "n": 2}, "'edges'"),
+        ([1, 2], "bipartite graph"),
+    ],
+)
+def test_malformed_pattern_file_is_reported(tmp_path, capsys, core, field):
+    path = tmp_path / "core.json"
+    path.write_text(json.dumps(core))
+    assert main(["solve", "ex", "--n", "4", "--pattern", f"@{path}"]) == 2
+    status = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert status["exit"] == 2 and status["status"] == "error"
+    assert field in status["error"]

@@ -168,3 +168,17 @@ def test_graph6_round_trip():
 def test_degree_stats_empty():
     st = degree_stats(Graph(0, []))
     assert st.degrees == () and st.maximum == 0
+
+
+def test_graph6_missing_header_is_value_error():
+    for text in ("", "~"):
+        with pytest.raises(ValueError):
+            from_graph6(text)
+
+
+def test_bipartite_component_count():
+    c4 = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    two_k2 = BipartiteGraph(2, 2, [(0, 0), (1, 1)])
+    star = BipartiteGraph(1, 3, [(0, 0), (0, 1), (0, 2)])
+    assert [g.component_count() for g in (c4, two_k2, star)] == [1, 2, 1]
+    assert BipartiteGraph(0, 0, []).component_count() == 0

@@ -9,6 +9,7 @@ from turanlab.errors import InvariantViolationError
 from turanlab.hypergraph import BipartiteGraph, Graph, SemibipartiteThreeGraph, ThreeGraph
 from turanlab.patterns import (
     EmbeddingWitness,
+    ExpansionWitness,
     PatternSpec,
     complete_bipartite,
     even_cycle,
@@ -525,3 +526,14 @@ def test_heavy_shadow_graph():
     assert heavy_shadow_graph(h, 3).edges == ((0, 1),)
     assert heavy_shadow_graph(h, 2).edge_count == 1
     assert heavy_shadow_graph(h, 1).edge_count == 10  # every pair inside some triple
+
+
+def test_expansion_witness_must_list_the_core_edges():
+    # four apexes on one pair: no K{2,2}+ copy, yet every listed triple exists
+    h = ThreeGraph(8, [(0, 2, 4), (0, 2, 5), (0, 2, 6), (0, 2, 7)])
+    spec = complete_bipartite(2, 2, expansion=True)
+    assert find_expansion(h, spec) is None
+    fake = ExpansionWitness((0, 1, 2, 3), ((0, 2),) * 4, (4, 5, 6, 7))
+    assert not verify_expansion_witness(h, spec, fake)
+    short = ExpansionWitness((0, 1, 2, 3), ((0, 2), (0, 3), (1, 2), (1, 3)), (4,))
+    assert not verify_expansion_witness(h, spec, short)
