@@ -1,12 +1,59 @@
-"""The ratio-count bound and the K{s,t} finder behind the check suites."""
+"""The check suites: recorded details, the ratio-count bound and the
+K{s,t} finder behind them.
 
+The fixture tests/data/golden_checks.json holds the (exit code, details)
+that `dispatch` returns for a fixed set of suite runs.  To re-record it
+after an intended change to a suite (say so in CHANGES.md), run from the
+repository root:
+
+    PYTHONPATH=src python tests/test_check_suites.py
+"""
+
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from turanlab.cli import JobSpec, _find_common_kst, dispatch
 from turanlab.constructions import norm_graph
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "golden_checks.json"
+
+GOLDEN_CASES = (
+    ({"suite": "pg-properties", "q": 3, "s": 2}, 0),
+    ({"suite": "pg-properties", "q": 3, "s": 3}, 0),
+    ({"suite": "norm-map", "q": 3, "s": 3}, 0),
+    ({"suite": "ratio-count", "q": 3, "s": 3}, 0),
+    ({"suite": "fullness", "n": 8, "count": 10}, 1),
+    ({"suite": "greedy-extend", "n": 8, "count": 10}, 1),
+    ({"suite": "decomposition", "n": 8, "count": 10}, 1),
+)
+
+
+def _record(params, seed):
+    code, details = dispatch(JobSpec("check", dict(params), seed=seed))
+    # through JSON, so tuples compare equal to the fixture's lists
+    return {"params": params, "seed": seed, "exit": code,
+            "details": json.loads(json.dumps(details))}
+
+
+def _fixture():
+    with FIXTURE.open() as fh:
+        return json.load(fh)
+
+
+def test_golden_fixture_covers_every_case():
+    assert [(r["params"], r["seed"]) for r in _fixture()] == list(GOLDEN_CASES)
+
+
+@pytest.mark.parametrize(
+    "params,seed", GOLDEN_CASES, ids=[",".join(map(str, p.values())) for p, _ in GOLDEN_CASES]
+)
+def test_check_details_match_golden(params, seed):
+    want = next(r for r in _fixture() if r["params"] == params and r["seed"] == seed)
+    assert _record(params, seed) == want
 
 
 def _reference_common_kst(masks, count, s, t):
@@ -62,3 +109,10 @@ def test_find_common_kst_matches_enumeration_on_norm_graphs():
         assert got == _reference_common_kst(g.adj, g.n, s, t)
         found.append(got is not None)
     assert any(found) and not all(found)
+
+
+if __name__ == "__main__":
+    records = [_record(params, seed) for params, seed in GOLDEN_CASES]
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"wrote {len(records)} cases to {FIXTURE}")
