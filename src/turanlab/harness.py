@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .errors import InvariantViolationError
 from .hypergraph import (
@@ -444,19 +444,36 @@ def sweep(fn: Callable, cells: Sequence, jobs: int = 1) -> list:
         return list(pool.map(fn, cells))
 
 
-def write_csv(rows: Iterable[dict], path: str | Path) -> None:
-    """Write dict rows to a CSV file, columns from the first row."""
+def write_csv(rows: Iterable[dict], out: str | Path | TextIO) -> None:
+    """Write dict rows as CSV, columns from the first row, to a path or an
+    open text stream (``\\r\\n`` line ends either way)."""
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to write")
-    fieldnames = list(rows[0].keys())
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+    if isinstance(out, (str, Path)):
+        with Path(out).open("w", newline="") as fh:
+            write_csv(rows, fh)
+        return
+    writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def read_csv(path: str | Path) -> list[dict]:
-    """Read a CSV file written by write_csv back into dict rows."""
+    """Read a CSV file written by write_csv back into dict rows.
+
+    Blank lines are skipped.  A row with more or fewer fields than the
+    header is a ValueError naming the file and line.
+    """
     with Path(path).open(newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = []
+        for fields in filter(None, reader):
+            if len(fields) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected {len(header)} fields, "
+                    f"got {len(fields)}"
+                )
+            rows.append(dict(zip(header, fields)))
+        return rows

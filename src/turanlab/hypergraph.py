@@ -34,13 +34,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 @dataclass(frozen=True)
 class DegreeStats:
     maximum: int

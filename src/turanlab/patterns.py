@@ -15,8 +15,9 @@ the host's edges put them.
 Vertex labels in witnesses are combined host labels: for bipartite and
 semibipartite hosts the right part is shifted by the left part size.
 
-Search strategy: complete bipartite cores K_{s,t} go through an ascending
-s-subset enumeration with running common-neighborhood intersection; all other
+Search strategy: complete bipartite cores K_{s,t} go through `iter_kst`, an
+ascending s-subset enumeration with running common-neighborhood intersection
+(also the K_{s,t} finder of the check suites); all other
 cores go through a most-constrained-first backtracking embedder.  Expansion
 copies are decided per core embedding by maximum bipartite matching between
 core edges and eligible apexes.
@@ -305,7 +306,7 @@ def expand(f: Graph | BipartiteGraph) -> ExpandedGraph:
 # -- low-level search engines --
 
 
-def _iter_kst(
+def iter_kst(
     adj,
     s: int,
     t: int,
@@ -490,7 +491,7 @@ def _iter_pattern_embeddings(
     for flip in orientations:
         lm, rm = (right_mask, left_mask) if flip else (left_mask, right_mask)
         if spec.is_complete:
-            for a, b in _iter_kst(adj, core.m, core.n, lm, rm):
+            for a, b in iter_kst(adj, core.m, core.n, lm, rm):
                 yield a + b
         else:
             allowed = [lm] * core.m + [rm] * core.n
@@ -686,7 +687,7 @@ def _iter_through_pair(
             directions = ((u, v),) if core.m == core.n and lm == rm else ((u, v), (v, u))
             for ha, hb in directions:
                 if lm >> ha & 1 and rm >> hb & 1 and adj[ha] >> hb & 1:
-                    for s_side, t_side in _iter_kst(adj, core.m, core.n, lm, rm, (ha, hb)):
+                    for s_side, t_side in iter_kst(adj, core.m, core.n, lm, rm, (ha, hb)):
                         yield 0, s_side + t_side
             continue
         combined_edges = _combined_edges(core)
@@ -796,10 +797,25 @@ def greedy_extend(h: ThreeGraph, s_side: tuple[int, ...], t_side: tuple[int, ...
 # -- witness verification (direct definition checks, used by tests and harness) --
 
 
+def _core_map_fits(m: tuple[int, ...], spec: PatternSpec, left: range, right: range) -> bool:
+    """One distinct host vertex per core vertex, each inside the host, on the
+    sides the spec's placement asks for."""
+    core = spec.core
+    if len(m) != spec.vertex_count or len(set(m)) != len(m):
+        return False
+    if not all(v in left or v in right for v in m):
+        return False
+    if spec.placement == "ordered":
+        return all(v in left for v in m[: core.m]) and all(v in right for v in m[core.m :])
+    if spec.placement == "core-in-V1":
+        return all(v in left for v in m)
+    return True
+
+
 def verify_graph_witness(g: Graph, spec: PatternSpec, w: EmbeddingWitness) -> bool:
     core = spec.core
     m = w.core_map
-    if len(set(m)) != len(m) or any(not 0 <= v < g.n for v in m):
+    if not _core_map_fits(m, spec, range(g.n), range(g.n)):
         return False
     return all(g.has_edge(m[a], m[core.m + b]) for a, b in core.edges)
 
@@ -807,15 +823,10 @@ def verify_graph_witness(g: Graph, spec: PatternSpec, w: EmbeddingWitness) -> bo
 def verify_bipartite_witness(g: BipartiteGraph, spec: PatternSpec, w: EmbeddingWitness) -> bool:
     core = spec.core
     m = w.core_map
-    if len(set(m)) != len(m):
+    left = range(g.m)
+    right = range(g.m, g.m + g.n)
+    if not _core_map_fits(m, spec, left, right):
         return False
-    left = set(range(g.m))
-    right = set(range(g.m, g.m + g.n))
-    if spec.placement == "ordered":
-        if not all(m[i] in left for i in range(core.m)):
-            return False
-        if not all(m[core.m + j] in right for j in range(core.n)):
-            return False
     for a, b in core.edges:
         ha, hb = m[a], m[core.m + b]
         if ha in right:
@@ -830,29 +841,19 @@ def verify_expansion_witness(
 ) -> bool:
     if isinstance(h, SemibipartiteThreeGraph):
         host = h.to_three_graph()
-        left = set(range(h.m))
-        right = set(range(h.m, h.m + h.n))
+        left = range(h.m)
+        right = range(h.m, h.m + h.n)
     else:
         host = h
-        left = right = set(range(h.n))
+        left = right = range(h.n)
     core = spec.core
     m = w.core_map
-    if len(m) != core.m + core.n or len(w.apexes) != core.edge_count:
+    if not _core_map_fits(m, spec, left, right) or len(w.apexes) != core.edge_count:
         return False
     if sorted(w.core_edges) != sorted(_combined_edges(core)):
         return False
-    if len(set(m)) != len(m) or len(set(w.apexes)) != len(w.apexes):
+    if len(set(w.apexes)) != len(w.apexes) or set(w.apexes) & set(m):
         return False
-    if set(w.apexes) & set(m):
-        return False
-    if spec.placement == "ordered":
-        if not all(m[i] in left for i in range(core.m)):
-            return False
-        if not all(m[core.m + j] in right for j in range(core.n)):
-            return False
-    elif spec.placement == "core-in-V1":
-        if not all(v in left for v in m):
-            return False
     edge_set = set(host.edges)
     for (a, b), apex in zip(w.core_edges, w.apexes):
         tri = tuple(sorted((m[a], m[b], apex)))

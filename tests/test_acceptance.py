@@ -17,13 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from turanlab.cli import (
-    _find_common_kst,
-    _random_3graph,
-    _random_fullness_spec,
-    _suite_composed,
-    _suite_ratio_count,
-)
 from turanlab.constructions import norm_graph
 from turanlab.ff import make_field, norm, norm_preimage_count, prime_power_decompose
 from turanlab.fullness import extract_full, is_full
@@ -37,11 +30,16 @@ from turanlab.patterns import (
     complete_bipartite,
     even_cycle,
     find_expansion,
+    find_in_graph,
     greedy_extend,
     heavy_shadow_graph,
     verify_expansion_witness,
 )
 from turanlab.solvers import eval_bound, ex_exact, z_exact, z_expansion_exact
+from turanlab.suites import random_3graph as _random_3graph
+from turanlab.suites import random_fullness_spec as _random_fullness_spec
+from turanlab.suites import suite_composed as _suite_composed
+from turanlab.suites import suite_ratio_count as _suite_ratio_count
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "exact_values.csv"
 
@@ -77,7 +75,7 @@ def test_01_norm_graph_suite_under_30s():
         degrees = {g.degree(v) for v in range(g.n)}
         assert degrees <= {q ** (s - 1) - 1, q ** (s - 1) - 2}
         t = factorial(s - 1) + 1
-        assert _find_common_kst(g.adj, g.n, s, t) is None
+        assert find_in_graph(g, complete_bipartite(s, t)) is None
     _finish(1, t0, 30.0, "5 construction cases: size, degree set, forbidden K{s,t} absent")
 
 

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from turanlab.cli import JobSpec, _find_common_kst, dispatch
+from turanlab.cli import JobSpec, dispatch
 from turanlab.constructions import norm_graph
+from turanlab.patterns import iter_kst
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "golden_checks.json"
 
@@ -98,14 +99,15 @@ def test_find_common_kst_matches_enumeration_on_random_masks():
         masks = [rng.getrandbits(width) for _ in range(count)]
         s = rng.randint(1, min(3, count))
         t = rng.randint(1, 4)
-        assert _find_common_kst(masks, count, s, t) == _reference_common_kst(masks, count, s, t)
+        got = next(iter_kst(masks, s, t, (1 << count) - 1, -1), None)
+        assert got == _reference_common_kst(masks, count, s, t)
 
 
 def test_find_common_kst_matches_enumeration_on_norm_graphs():
     found = []
     for q, s, t in ((3, 2, 2), (5, 2, 2), (3, 3, 2), (3, 3, 3), (4, 3, 2), (4, 3, 3)):
         g = norm_graph(q, s)
-        got = _find_common_kst(g.adj, g.n, s, t)
+        got = next(iter_kst(g.adj, s, t, (1 << g.n) - 1, -1), None)
         assert got == _reference_common_kst(g.adj, g.n, s, t)
         found.append(got is not None)
     assert any(found) and not all(found)

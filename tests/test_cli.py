@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from turanlab import cli
 from turanlab.cli import JobSpec, dispatch, main
 from turanlab.hypergraph import from_json_dict, dumps_canonical, from_graph6
 
@@ -195,6 +196,25 @@ class TestScanAndReport:
         code, _, status = run_cli("report", str(tmp_path / "nope.csv"))
         assert code == 2
 
+    def test_report_to_stdout_keeps_crlf(self, tmp_path, capsys):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        first.write_text("x,y\n1,2\n")
+        second.write_text("y,z\n3,4\n")
+        assert main(["report", str(first), str(second)]) == 0
+        assert capsys.readouterr().out == "x,y,z\r\n1,2,\r\n,3,4\r\n"
+
+    @pytest.mark.parametrize("body, got", [("a,b\n1,2,3\n", 3), ("a,b\n1,2\n3\n", 1)])
+    def test_report_rejects_ragged_rows(self, tmp_path, capsys, body, got):
+        path = tmp_path / "ragged.csv"
+        path.write_text(body)
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        status = json.loads(captured.err.strip().splitlines()[-1])
+        assert status["exit"] == 2 and status["status"] == "error"
+        line = body.count("\n")
+        assert status["error"] == f"{path}: line {line}: expected 2 fields, got {got}"
+
 
 class TestBound:
     def test_bound_certificate(self):
@@ -240,6 +260,16 @@ class TestJobSpec:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_internal_error_is_not_malformed(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "ex_exact", broken)
+        assert main(["solve", "ex", "--n", "4", "--pattern", "C4"]) == 1
+        status = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert status == {"command": "solve", "status": "internal-error",
+                          "error": "KeyError: 'boom'", "exit": 1}
 
 
 class TestPatternFiles:

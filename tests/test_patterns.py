@@ -235,6 +235,8 @@ def test_c6_host_frozen():
     w = find_in_graph(host, even_cycle(6))
     assert w is not None and verify_graph_witness(host, even_cycle(6), w)
     assert find_in_graph(host, complete_bipartite(2, 2)) is None
+    # a core_map shorter than the core is rejected, not an IndexError
+    assert not verify_graph_witness(host, complete_bipartite(2, 2), EmbeddingWitness((0, 1)))
 
 
 def test_grid_host_frozen():
@@ -252,6 +254,7 @@ def test_ordered_direction_matters():
     assert find_ordered_bipartite(host, complete_bipartite(3, 2, placement="ordered")) is None
     w = find_ordered_bipartite(host, complete_bipartite(3, 2))
     assert w is not None and verify_bipartite_witness(host, complete_bipartite(3, 2), w)
+    assert not verify_bipartite_witness(host, complete_bipartite(3, 2), EmbeddingWitness((0, 2)))
     w = find_ordered_bipartite(host, complete_bipartite(2, 3, placement="ordered"))
     assert w is not None
 
