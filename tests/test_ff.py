@@ -254,3 +254,35 @@ def test_element_reduction_of_long_coeffs():
     f9 = make_field(3, 2)
     # x^2 reduces to 2 under x^2 + 1
     assert FieldElement(f9, (0, 0, 1)).idx == 2
+
+
+def _reference_subfield_table(q, s):
+    # the embedding by FieldElement arithmetic: F_q's generator goes to the
+    # least-index root of F_q's modulus in the big field
+    p, kq = prime_power_decompose(q)
+    big = make_field(p, kq * (s - 1))
+    sub = make_field(p, kq)
+    root = next(
+        r for r in big.elements()
+        if sum((big.from_index(c) * r**i for i, c in enumerate(sub.modulus)), big.zero()).is_zero()
+    )
+    table = [-1] * big.order
+    for a in sub.elements():
+        img = sum(
+            (big.from_index(c) * root**i for i, c in enumerate(a.coeffs)), big.zero()
+        )
+        table[img.idx] = a.idx
+    return big, sub, tuple(table)
+
+
+# every non-prime q with s >= 3 and q^(s-1) <= 512, plus identity cases:
+# s = 2, and a prime q, whose embedding fixes the prime field's indices
+@pytest.mark.parametrize(
+    "q,s",
+    [(4, 3), (4, 4), (4, 5), (8, 3), (8, 4), (9, 3), (16, 3),
+     (2, 2), (5, 2), (9, 2), (3, 3), (7, 3), (2, 9)],
+)
+def test_subfield_table_matches_reference(q, s):
+    from turanlab.ff import _subfield_table
+
+    assert _subfield_table(q, s) == _reference_subfield_table(q, s)
