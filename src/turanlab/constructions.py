@@ -5,7 +5,10 @@ N(X + Y) = x * y, with N the norm into F_q.  Vertices are numbered
 idx(X) * (q - 1) + idx(x) - 1, so the layout is reproducible across runs.
 Adjacency is enumerated through the unique-partner rule: fixing (X, x) and
 Y != -X forces y = N(X + Y) / x, so each vertex is examined against only
-q^(s-1) - 1 candidates instead of all vertex pairs.
+q^(s-1) - 1 candidates instead of all vertex pairs.  All field arithmetic
+runs on canonical indices through the cached tables of turanlab.ff: per X,
+one row of sums X + Y read through the norm-index table, then one quotient
+table per x, so no FieldElement is built.
 
 The bipartite variant keeps two disjoint copies of the vertex set and joins
 left (X, x) to right (Y, y) under the same equation for (X, x) != (Y, y);
@@ -27,10 +30,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CapExceededError, InvariantViolationError
-from .ff import is_prime, make_field, norm, prime_power_decompose
+from .ff import field_tables, is_prime, norm_indices, prime_power_decompose
 from .hypergraph import BipartiteGraph, Graph, SemibipartiteThreeGraph, iter_bits
 from .patterns import PatternSpec, iter_graph_embeddings
 
@@ -45,14 +47,6 @@ def _validate_construction(q: int, s: int) -> tuple[int, int]:
     if q**s > MAX_CONSTRUCTION_ORDER:
         raise CapExceededError(f"q^s = {q**s} exceeds {MAX_CONSTRUCTION_ORDER}")
     return p, k
-
-
-@lru_cache(maxsize=64)
-def _norm_indices(q: int, s: int) -> tuple[int, ...]:
-    """idx of N(z) in F_q for every z in F_{q^(s-1)}, by idx of z."""
-    p, k = prime_power_decompose(q)
-    big = make_field(p, k * (s - 1))
-    return tuple(norm(big.from_index(i), q, s).idx for i in range(big.order))
 
 
 def vertex_id(q: int, big_idx: int, small_idx: int) -> int:
@@ -70,26 +64,22 @@ def vertex_coords(q: int, v: int) -> tuple[int, int]:
 def _norm_partners(q: int, s: int):
     """Yield (u, v) over all vertices u and their unique partner per Y."""
     p, k = prime_power_decompose(q)
-    big = make_field(p, k * (s - 1))
-    sub = make_field(p, k)
-    norms = _norm_indices(q, s)
-    sub_els = list(sub.elements())
-    inv_idx = [0] * q
-    for i in range(1, q):
-        inv_idx[i] = sub_els[i].inverse().idx
-    big_els = list(big.elements())
+    big = field_tables(p, k * (s - 1))
+    sub = field_tables(p, k)
+    norms = norm_indices(q, s)
+    # partner[a - 1][n]: vertex number of (Y, n / a), less Y's offset yi * (q - 1)
+    partner = [[sub.div(n, a) - 1 for n in range(q)] for a in range(1, q)]
     for xi in range(big.order):
-        x_el = big_els[xi]
-        neg_xi = (-x_el).idx
+        neg_xi = big.neg(xi)
+        # N(X + Y) by idx of Y
+        row = [norms[z] for z in big.add_row(xi)]
         for a in range(1, q):
             u = vertex_id(q, xi, a)
-            inv_a = sub_els[inv_idx[a]]
+            quot = partner[a - 1]
             for yi in range(big.order):
                 if yi == neg_xi:
                     continue
-                nrm = norms[(x_el + big_els[yi]).idx]
-                b = (sub_els[nrm] * inv_a).idx
-                yield u, vertex_id(q, yi, b)
+                yield u, yi * (q - 1) + quot[row[yi]]
 
 
 def norm_graph(q: int, s: int) -> Graph:
@@ -118,23 +108,22 @@ def norm_ratio_count(q: int, s: int, x_idx: int, y_idx: int, lam_idx: int) -> in
     p, k = _validate_construction(q, s)
     if s < 3:
         raise ValueError("ratio counts need s >= 3")
-    big = make_field(p, k * (s - 1))
-    sub = make_field(p, k)
+    big = field_tables(p, k * (s - 1))
+    sub = field_tables(p, k)
     if x_idx == y_idx:
         raise ValueError("need two distinct first coordinates")
     if not 1 <= lam_idx < q:
         raise ValueError("ratio must be a nonzero element of the small field")
-    x_el = big.from_index(x_idx)
-    y_el = big.from_index(y_idx)
-    lam = sub.from_index(lam_idx)
-    norms = _norm_indices(q, s)
-    sub_els = list(sub.elements())
-    count = 0
-    for z_el in big.elements():
-        lhs = norms[(x_el + z_el).idx]
-        rhs = (lam * sub_els[norms[(y_el + z_el).idx]]).idx
-        if lhs == rhs:
-            count += 1
+    for idx in (x_idx, y_idx):
+        if not 0 <= idx < big.order:
+            raise ValueError(f"index {idx} out of range for order {big.order}")
+    norms = norm_indices(q, s)
+    scaled = [sub.mul(lam_idx, n) for n in range(q)]
+    count = sum(
+        1
+        for xz, yz in zip(big.add_row(x_idx), big.add_row(y_idx))
+        if norms[xz] == scaled[norms[yz]]
+    )
     if count < q ** (s - 2):
         raise InvariantViolationError(
             f"ratio count {count} below floor {q ** (s - 2)} at ({q},{s},{x_idx},{y_idx},{lam_idx})"

@@ -10,12 +10,20 @@ order are directly comparable.  The canonical index
 is a bijection onto {0, ..., p^k - 1} and is what the construction layer uses
 to label vertices.
 
+:class:`FieldElement` is the reference arithmetic.  The construction and
+check layers work on canonical indices only, through :func:`field_tables`:
+exp/log tables over a primitive element g, so x * y is a table lookup on
+log x + log y, and x + y is XOR for p = 2 and digitwise addition mod p
+otherwise.  Tables are built on first use and cached per canonical field.
+
 The relative norm from F_{q^(s-1)} down to F_q is
 
     N(x) = x * x**q * ... * x**(q**(s-2)) = x ** ((q**(s-1) - 1) // (q - 1)),
 
-computed here by exponentiation and re-expressed in the standalone F_q
-descriptor through an explicitly enumerated subfield embedding.
+so N(g**i) = g**(e*i) with e = (q**(s-1) - 1) // (q - 1).  :func:`norm_indices`
+tabulates it by that exponent, and :func:`norm` by exponentiating a
+FieldElement; both re-express the result in the standalone F_q descriptor
+through one explicitly enumerated subfield embedding.
 """
 
 from __future__ import annotations
@@ -320,6 +328,108 @@ class FieldElement:
         return f"<{self.coeffs} in GF({self.field.p}^{self.field.k})>"
 
 
+def _index(coeffs, p: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * p + c
+    return acc
+
+
+def _digits(idx: int, p: int, k: int) -> list[int]:
+    out = []
+    for _ in range(k):
+        out.append(idx % p)
+        idx //= p
+    return out
+
+
+class FieldTables:
+    """Integer arithmetic of a canonical field F_{p^k} on canonical indices.
+
+    exp[i] is the index of g**i for the primitive element g of least index,
+    stored for 0 <= i < 2 * (order - 1) so that a product or quotient needs
+    no reduction; log[x] is the exponent of x != 0 (log[0] is -1).  Use
+    :func:`field_tables` to get the cached tables of a field.
+    """
+
+    __slots__ = ("p", "k", "order", "exp", "log")
+
+    def __init__(self, p: int, k: int, exp: tuple[int, ...], log: tuple[int, ...]):
+        self.p = p
+        self.k = k
+        self.order = p**k
+        self.exp = exp
+        self.log = log
+
+    def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        p = self.p
+        out, place = 0, 1
+        while a or b:
+            out += (a % p + b % p) % p * place
+            a //= p
+            b //= p
+            place *= p
+        return out
+
+    def add_row(self, a: int) -> list[int]:
+        """idx(a + y) for every index y, in order of y."""
+        if self.p == 2:
+            return [a ^ y for y in range(self.order)]
+        p = self.p
+        row, place = [0], 1
+        for _ in range(self.k):
+            d = a % p
+            a //= p
+            row = [r + (d + c) % p * place for c in range(p) for r in row]
+            place *= p
+        return row
+
+    def neg(self, a: int) -> int:
+        if self.p == 2 or a == 0:
+            return a
+        # -1 = g**((order - 1) / 2) in odd characteristic
+        return self.exp[self.log[a] + (self.order - 1) // 2]
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        return self.exp[self.log[a] + self.log[b]]
+
+    def div(self, a: int, b: int) -> int:
+        if b == 0:
+            raise ZeroDivisionError("division by zero")
+        if a == 0:
+            return 0
+        return self.exp[self.log[a] - self.log[b] + self.order - 1]
+
+
+@functools.lru_cache(maxsize=None)
+def field_tables(p: int, k: int) -> FieldTables:
+    """exp/log tables of make_field(p, k), built on first use."""
+    field = make_field(p, k)
+    modulus = list(field.modulus)
+    order = field.order
+    for g in range(1, order):
+        # powers of g by polynomial multiplication, until they return to 1
+        g_coeffs = _digits(g, p, k)
+        powers = [1]
+        cur = [1]
+        while True:
+            cur = _poly_mod(_poly_mul(cur, g_coeffs, p), modulus, p)
+            idx = _index(cur, p)
+            if idx == 1:
+                break
+            powers.append(idx)
+        if len(powers) == order - 1:
+            break
+    log = [-1] * order
+    for i, x in enumerate(powers):
+        log[x] = i
+    return FieldTables(p, k, tuple(powers * 2), tuple(log))
+
+
 @functools.lru_cache(maxsize=None)
 def _subfield_table(q: int, s: int) -> tuple[FieldDescriptor, FieldDescriptor, tuple[int, ...]]:
     """(big_field, sub_field, table) for F_q inside F_{q^(s-1)}.
@@ -332,38 +442,37 @@ def _subfield_table(q: int, s: int) -> tuple[FieldDescriptor, FieldDescriptor, t
     p, kq = prime_power_decompose(q)
     big = make_field(p, kq * (s - 1))
     sub = make_field(p, kq)
-    table = [-1] * big.order
     if s == 2:
-        for i in range(big.order):
-            table[i] = i
-        return big, sub, tuple(table)
+        return big, sub, tuple(range(big.order))
+    table = [-1] * big.order
     if kq == 1:
-        for c in range(p):
-            table[c] = c
+        table[:p] = range(p)
         return big, sub, tuple(table)
-    root = None
-    mod = list(sub.modulus)
-    for cand in big.elements():
-        acc = big.zero()
-        for coeff in reversed(mod):
-            acc = acc * cand + big.from_index(coeff)
-        if acc.is_zero():
-            root = cand
-            break
-    if root is None:
-        raise RuntimeError("subfield modulus has no root in extension")  # unreachable
-    for a in sub.elements():
-        img = big.zero()
-        power = big.one()
-        for c in a.coeffs:
-            if c:
-                term = power
-                for _ in range(c - 1):
-                    term = term + power
-                img = img + term
-            power = power * root
-        table[img.idx] = a.idx
+    t = field_tables(p, big.k)
+
+    def at(poly, x):
+        # poly's F_p coefficients are also their own big-field indices
+        acc = 0
+        for coeff in reversed(poly):
+            acc = t.add(t.mul(acc, x), coeff)
+        return acc
+
+    root = next(x for x in range(big.order) if at(sub.modulus, x) == 0)
+    for a in range(sub.order):
+        table[at(_digits(a, p, kq), root)] = a
     return big, sub, tuple(table)
+
+
+@functools.lru_cache(maxsize=None)
+def norm_indices(q: int, s: int) -> tuple[int, ...]:
+    """idx of N(x) in F_q for every x in F_{q^(s-1)}, by idx of x."""
+    if s < 2:
+        raise ValueError(f"s must be >= 2, got {s}")
+    big, _, table = _subfield_table(q, s)
+    t = field_tables(big.p, big.k)
+    e = (q ** (s - 1) - 1) // (q - 1)
+    exp, log, period = t.exp, t.log, t.order - 1
+    return (0,) + tuple(table[exp[e * log[x] % period]] for x in range(1, t.order))
 
 
 def norm(x: FieldElement, q: int, s: int) -> FieldElement:
@@ -389,7 +498,7 @@ def norm(x: FieldElement, q: int, s: int) -> FieldElement:
 
 def norm_preimage_count(q: int, s: int, y) -> int:
     """Number of x in F_{q^(s-1)} with N(x) = y.  y: F_q element or index."""
-    big, sub, _ = _subfield_table(q, s)
+    _, sub, _ = _subfield_table(q, s)
     if isinstance(y, FieldElement):
         if y.field != sub:
             raise ValueError("target must live in F_q")
@@ -398,8 +507,4 @@ def norm_preimage_count(q: int, s: int, y) -> int:
         target = int(y)
         if not 0 <= target < sub.order:
             raise ValueError(f"index {target} out of range for F_{q}")
-    count = 0
-    for x in big.elements():
-        if norm(x, q, s).idx == target:
-            count += 1
-    return count
+    return norm_indices(q, s).count(target)

@@ -17,7 +17,13 @@ from typing import Callable
 
 from .constructions import composed_construction, norm_graph, norm_ratio_count, vertex_coords
 from .errors import InvariantViolationError
-from .ff import make_field, norm, norm_preimage_count, prime_power_decompose
+from .ff import (
+    field_tables,
+    make_field,
+    norm_indices,
+    norm_preimage_count,
+    prime_power_decompose,
+)
 from .fullness import FullnessGroup, FullnessSpec, extract_full, is_full, pair_spec, vertex_spec
 from .harness import decompose_3graph, decompose_graph
 from .hypergraph import Graph, ThreeGraph
@@ -49,17 +55,16 @@ def suite_pg_properties(q: int, s: int) -> tuple[int, dict]:
 
 def suite_norm_map(q: int, s: int) -> tuple[int, dict]:
     p, k = prime_power_decompose(q)
-    big = make_field(p, k * (s - 1))
-    sub = make_field(p, k)
-    if big.order > 512:
+    if make_field(p, k * (s - 1)).order > 512:
         raise ValueError("full multiplicativity enumeration is capped at order 512")
-    els = list(big.elements())
-    norms = [norm(x, q, s) for x in els]
+    big = field_tables(p, k * (s - 1))
+    sub = field_tables(p, k)
+    norms = norm_indices(q, s)
     mult_failures = 0
-    for i, x in enumerate(els):
-        ni = norms[i]
-        for j in range(i, len(els)):
-            if (norms[(x * els[j]).idx].idx) != (ni * norms[j]).idx:
+    for x in range(big.order):
+        nx = norms[x]
+        for y in range(x, big.order):
+            if norms[big.mul(x, y)] != sub.mul(nx, norms[y]):
                 mult_failures += 1
     expected_fiber = (q ** (s - 1) - 1) // (q - 1)
     fiber_failures = 0
@@ -123,8 +128,8 @@ def suite_ratio_count(q: int, s: int) -> tuple[int, dict]:
     first coordinate; any more is a violation.
     """
     p, k = prime_power_decompose(q)
-    big = make_field(p, k * (s - 1))
-    sub = make_field(p, k)
+    big = field_tables(p, k * (s - 1))
+    sub = field_tables(p, k)
     floor = q ** (s - 2)
     ratio_failures = 0
     triples = 0
@@ -157,8 +162,7 @@ def suite_ratio_count(q: int, s: int) -> tuple[int, dict]:
                 if codegree != 0:
                     codegree_failures += 1
                 continue
-            lam = sub.from_index(sx) / sub.from_index(sy)
-            count = counts[(bx, by, lam.idx)]
+            count = counts[(bx, by, sub.div(sx, sy))]
             if count < floor:
                 below[u] += 1
                 below[v] += 1
@@ -307,5 +311,8 @@ def run_suite(name: str, params: dict, seed: int = 0) -> tuple[int, dict]:
     suite = SUITES[name]
     args = [params[k] for k in suite.params]
     if suite.seeded:
+        for key, value in zip(suite.params, args):
+            if value < 0:
+                raise ValueError(f"--{key} must be non-negative, got {value}")
         args.append(seed)
     return suite.run(*args)

@@ -149,6 +149,9 @@ def test_norm_ratio_count_rejects():
         norm_ratio_count(3, 3, 2, 2, 1)
     with pytest.raises(ValueError):
         norm_ratio_count(3, 3, 0, 1, 0)
+    for x_idx, y_idx in ((0, 9), (-1, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            norm_ratio_count(3, 3, x_idx, y_idx, 1)
 
 
 def test_construction_caps_and_validation():
