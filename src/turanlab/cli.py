@@ -206,6 +206,8 @@ def _cmd_bound(spec: JobSpec) -> tuple[int, dict]:
         key, _, value = item.partition("=")
         if not _ or not key:
             raise ValueError(f"expected key=value, got {item!r}")
+        if key in params:
+            raise ValueError(f"parameter {key!r} is set more than once")
         try:
             params[key] = int(value)
         except ValueError:

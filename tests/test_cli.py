@@ -164,6 +164,15 @@ class TestCheck:
         assert code == 2
         assert "--q" in status["error"]
 
+    @pytest.mark.parametrize("suite", ["fullness", "greedy-extend", "decomposition"])
+    @pytest.mark.parametrize("flag", ["--count", "--n"])
+    def test_negative_size_rejected(self, capsys, suite, flag):
+        assert main(["check", suite, flag, "-5"]) == 2
+        captured = capsys.readouterr()
+        status = json.loads(captured.err.strip().splitlines()[-1])
+        assert status["exit"] == 2 and status["status"] == "error"
+        assert status["error"] == f"{flag} must be non-negative, got -5"
+
 
 class TestScanAndReport:
     def test_scan_csv(self, tmp_path):
@@ -232,6 +241,15 @@ class TestBound:
         assert code == 2
         code, _, _ = run_cli("bound", "kst_z", "--set", "m=x")
         assert code == 2
+
+    def test_bound_repeated_key_rejected(self, capsys):
+        argv = ["bound", "kst_z", "--set", "m=3", "--set", "n=3", "--set", "s=2",
+                "--set", "t=2", "--set", "t=3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        status = json.loads(captured.err.strip().splitlines()[-1])
+        assert status["error"] == "parameter 't' is set more than once"
 
 
 class TestJobSpec:
