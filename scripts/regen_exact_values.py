@@ -36,6 +36,9 @@ ROWS = [
     ("z", {"m": 3, "n": 3, "pattern": "K{2,2}"}, "kst_z", {"m": 3, "n": 3, **K22}),
     ("z", {"m": 1, "n": 6, "pattern": "K{2,2}"}, "kst_z", {"m": 1, "n": 6, **K22}),
     ("z", {"m": 4, "n": 5, "pattern": "K{2,2}"}, "kst_z", {"m": 4, "n": 5, **K22}),
+    ("z", {"m": 6, "n": 6, "pattern": "K{2,2}"}, "kst_z", {"m": 6, "n": 6, **K22}),
+    ("z", {"m": 7, "n": 7, "pattern": "K{2,2}"}, "kst_z", {"m": 7, "n": 7, **K22}),
+    ("z", {"m": 8, "n": 8, "pattern": "K{2,2}"}, "kst_z", {"m": 8, "n": 8, **K22}),
     ("z", {"m": 3, "n": 3, "pattern": "C6"}, "nv_cycle", {"m": 3, "n": 3, "k": 3}),
     ("z", {"m": 4, "n": 4, "pattern": "C6"}, "nv_cycle", {"m": 4, "n": 4, "k": 3}),
     (

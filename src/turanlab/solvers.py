@@ -17,9 +17,16 @@ bitmasks for graphs, pair links for 3-graphs) that adds, removes and tests
 an edge.  The engine walks the universe depth first, trying inclusion
 before exclusion, and prunes a branch when (i) the new edge completes a
 forbidden pattern, (ii) the incumbent cannot be beaten even if every
-remaining edge were added, (iii) degree-ordered symmetry breaking rules the
-branch out, checked where a vertex's degree becomes final, or (iv) no
-vertex can still reach the degree floor.  Because inclusion is tried first
+remaining edge were added, (iii) symmetry breaking rules the branch out:
+tracked degrees must not increase with the vertex label, checked where a
+vertex's degree becomes final, and for ``z_exact`` and
+``z_expansion_exact`` the right part's columns of the row-major universe
+must be in non-increasing lex order, checked at every row end, or (iv) the
+degree floor can no longer be met: with symmetry breaking on, vertex 0
+carries the largest degree of every surviving host, so only its degree is
+tested; with it off, no vertex may still reach the floor.  All of these
+are exact: every host has a relabelled copy that passes (iii), with the
+same edge count and maximum degree.  Because inclusion is tried first
 and the incumbent is replaced only on strict improvement, the reported
 witness is the lexicographically smallest optimal edge set among the hosts
 the symmetry-reduced search visits.  Every witness is re-verified against
@@ -59,7 +66,7 @@ from .patterns import (
 
 MAX_EX_GRAPH_VERTICES = 10
 MAX_EX_THREE_VERTICES = 8
-MAX_Z_CELLS = 30
+MAX_Z_CELLS = 64
 MAX_Z_EXPANSION_SIDE = 4
 
 BOUND_IDS = ("kst_ex", "kst_z", "nv_cycle", "z_exp_i", "z_exp_ii")
@@ -162,6 +169,7 @@ def _branch_and_bound(
     symmetry: bool,
     state,
     floor: int | None = None,
+    row_width: int = 0,
 ) -> tuple[int, tuple[int, ...], int]:
     """Largest subset of the edge universe that the host state accepts.
 
@@ -171,8 +179,24 @@ def _branch_and_bound(
     raises exactly ``divisor`` of them, so tracked degrees sum to
     ``divisor * |E|``.  A vertex's degree is final one past the last edge
     that raises it; with ``symmetry`` set, a branch is cut there when that
-    degree exceeds its predecessor's.  With ``floor`` set, a branch is cut
-    once no tracked vertex can still reach that degree.
+    degree exceeds its predecessor's, so every surviving leaf has
+    non-increasing degrees over the tracked vertices that some edge raises.
+
+    With ``floor`` set, a branch is cut once no tracked vertex can still
+    reach that degree.  With ``symmetry`` set as well, every tracked vertex
+    must be raised by some edge, and the test reads vertex 0 alone: on a
+    surviving leaf it has the largest degree, so the floor is met exactly
+    when ``deg[0]`` reaches it.
+
+    A nonzero ``row_width`` declares the universe a row-major matrix of
+    rows of that many cells, whose columns can be permuted without changing
+    any tracked degree or the host's pattern-freeness.  With ``symmetry``
+    set, each column is read as a binary number with row 0 the most
+    significant bit, and at every row end a branch is cut when some
+    column's prefix exceeds its predecessor's (equal prefixes stay open),
+    so surviving leaves have columns in non-increasing lex order.  Column
+    sorting keeps row degrees, so both orders hold on some copy of every
+    host.
 
     Returns (best count, universe indices of the first best set found,
     nodes entered); best is -1 when no leaf is feasible.
@@ -195,6 +219,13 @@ def _branch_and_bound(
             for x in raises[i]:
                 row[x] += 1
             suffix[i] = row
+    floor_vs = (0,) if symmetry else range(nv_deg)
+    cols: list[int] | None = None
+    if symmetry and row_width:
+        top = L // row_width - 1
+        cols = [0] * row_width
+        cell = [(i % row_width, 1 << (top - i // row_width)) for i in range(L)]
+        col_pairs = [(c - 1, c) for c in range(1, row_width)]
 
     add, remove, hits = state.add, state.remove, state.hits
     deg = [0] * nv_deg
@@ -217,9 +248,13 @@ def _branch_and_bound(
             cap = sum(deg[:u]) + (nv_deg - u) * deg[u - 1]
             if cap // divisor <= best:
                 return
+        if cols is not None and i and i % row_width == 0:
+            for a, b in col_pairs:
+                if cols[b] > cols[a]:
+                    return
         if suffix is not None:
             row = suffix[i]
-            if all(deg[v] + row[v] < floor for v in range(nv_deg)):
+            if all(deg[v] + row[v] < floor for v in floor_vs):
                 return
         if count + (L - i) <= best:
             return
@@ -233,9 +268,14 @@ def _branch_and_bound(
             vs = raises[i]
             for x in vs:
                 deg[x] += 1
+            if cols is not None:
+                c, bit = cell[i]
+                cols[c] += bit
             chosen.append(i)
             rec(i + 1, count + 1)
             chosen.pop()
+            if cols is not None:
+                cols[c] -= bit
             for x in vs:
                 deg[x] -= 1
         remove(e)
@@ -344,7 +384,13 @@ def z_exact(
     cells = [(u, w) for u in range(m) for w in range(n)]
     state = _PairState(m + n, specs, (1 << m) - 1, ((1 << n) - 1) << m)
     best, chosen, nodes = _branch_and_bound(
-        [(u, m + w) for u, w in cells], [(u,) for u, _ in cells], m, 1, symmetry, state
+        [(u, m + w) for u, w in cells],
+        [(u,) for u, _ in cells],
+        m,
+        1,
+        symmetry,
+        state,
+        row_width=n,
     )
 
     witness = BipartiteGraph(m, n, [cells[i] for i in chosen])
@@ -384,7 +430,13 @@ def z_expansion_exact(
     cells = [(u, v, w) for u, v in combinations(range(m), 2) for w in range(n)]
     state = _TripleState(m + n, specs, (1 << m) - 1, ((1 << n) - 1) << m, True)
     best, chosen, nodes = _branch_and_bound(
-        [(u, v, m + w) for u, v, w in cells], [(u, v) for u, v, _ in cells], m, 2, symmetry, state
+        [(u, v, m + w) for u, v, w in cells],
+        [(u, v) for u, v, _ in cells],
+        m,
+        2,
+        symmetry,
+        state,
+        row_width=n,
     )
 
     witness = SemibipartiteThreeGraph(m, n, [cells[i] for i in chosen])

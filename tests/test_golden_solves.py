@@ -69,7 +69,7 @@ def _fixture():
 
 def test_fixture_covers_every_table_row():
     rows = _rows()
-    assert len(rows) == 20
+    assert len(rows) == 23
     assert set(_fixture()) == set(rows)
 
 
@@ -80,7 +80,18 @@ def test_solve_matches_golden(quantity, params_text):
 
 
 if __name__ == "__main__":
+    old = _fixture() if FIXTURE.exists() else {}
     records = [_record(q, p) for q, p in _rows()]
+    for rec in records:
+        key = (rec["quantity"], rec["params"])
+        if key not in old:
+            print(f"{rec['quantity']} {rec['params']}: new row")
+            continue
+        for field, value in rec.items():
+            if old[key][field] != value:
+                print(f"{rec['quantity']} {rec['params']}: {field} {old[key][field]} -> {value}")
+    for key in old.keys() - {(r["quantity"], r["params"]) for r in records}:
+        print(f"{key[0]} {key[1]}: row dropped")
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {len(records)} rows to {FIXTURE}")
