@@ -225,7 +225,6 @@ def _branch_and_bound(
         top = L // row_width - 1
         cols = [0] * row_width
         cell = [(i % row_width, 1 << (top - i // row_width)) for i in range(L)]
-        col_pairs = [(c - 1, c) for c in range(1, row_width)]
 
     add, remove, hits = state.add, state.remove, state.hits
     deg = [0] * nv_deg
@@ -249,9 +248,8 @@ def _branch_and_bound(
             if cap // divisor <= best:
                 return
         if cols is not None and i and i % row_width == 0:
-            for a, b in col_pairs:
-                if cols[b] > cols[a]:
-                    return
+            if any(cols[c] > cols[c - 1] for c in range(1, row_width)):
+                return
         if suffix is not None:
             row = suffix[i]
             if all(deg[v] + row[v] < floor for v in floor_vs):
@@ -384,12 +382,7 @@ def z_exact(
     cells = [(u, w) for u in range(m) for w in range(n)]
     state = _PairState(m + n, specs, (1 << m) - 1, ((1 << n) - 1) << m)
     best, chosen, nodes = _branch_and_bound(
-        [(u, m + w) for u, w in cells],
-        [(u,) for u, _ in cells],
-        m,
-        1,
-        symmetry,
-        state,
+        [(u, m + w) for u, w in cells], [(u,) for u, _ in cells], m, 1, symmetry, state,
         row_width=n,
     )
 
@@ -430,12 +423,7 @@ def z_expansion_exact(
     cells = [(u, v, w) for u, v in combinations(range(m), 2) for w in range(n)]
     state = _TripleState(m + n, specs, (1 << m) - 1, ((1 << n) - 1) << m, True)
     best, chosen, nodes = _branch_and_bound(
-        [(u, v, m + w) for u, v, w in cells],
-        [(u, v) for u, v, _ in cells],
-        m,
-        2,
-        symmetry,
-        state,
+        [(u, v, m + w) for u, v, w in cells], [(u, v) for u, v, _ in cells], m, 2, symmetry, state,
         row_width=n,
     )
 
