@@ -58,9 +58,7 @@ def test_zexp_symmetry_keeps_value(m, n, ordered):
     ).value
 
 
-@pytest.mark.parametrize(
-    "text,n,floor", FLOOR_GRAPH_CELLS + FLOOR_3GRAPH_CELLS, ids=lambda x: str(x)
-)
+@pytest.mark.parametrize("text,n,floor", FLOOR_GRAPH_CELLS + FLOOR_3GRAPH_CELLS)
 def test_floor_symmetry_keeps_value(text, n, floor):
     spec = parse_pattern(text)
     kind = "3graph" if spec.expansion else "graph"
