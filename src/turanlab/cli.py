@@ -188,7 +188,12 @@ def _cmd_scan(spec: JobSpec) -> tuple[int, dict]:
     p = spec.params
     specs = [parse_pattern(t) for t in p["patterns"]]
     host_kind = p.get("host_kind", "graph")
-    alphas = [Fraction(a) for a in p["alphas"]]
+    alphas = []
+    for a in p["alphas"]:
+        try:
+            alphas.append(Fraction(a))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--alpha needs a number such as 1, 0.5 or 2/3, got {a!r}") from None
     cells = [(n, a) for n in p["ns"] for a in alphas]
     rows = sweep(
         lambda cell: boundedness_scan(specs, cell[0], cell[1], host_kind).to_csv_row(),
@@ -255,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=1)
 
     sp = sub.add_parser("construct", help="build a named construction")
     sp.add_argument("kind", choices=("normgraph", "bipartite", "composed", "deletion"))
@@ -293,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", action="append", required=True,
                     help="density parameter, e.g. 1, 0.5, or 2/3 (repeatable)")
     sp.add_argument("--host-kind", choices=("graph", "3graph"), default="graph")
+    sp.add_argument("--jobs", type=int, default=1, help="worker threads for the scan cells")
     common(sp)
 
     sp = sub.add_parser("bound", help="evaluate a certified upper-bound formula")
@@ -355,7 +360,7 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
         params = {"bound_id": args.bound_id, "sets": list(getattr(args, "set"))}
     else:
         params = {"inputs": list(args.inputs)}
-    return JobSpec(cmd, params, args.output, args.seed, args.jobs)
+    return JobSpec(cmd, params, args.output, args.seed, getattr(args, "jobs", 1))
 
 
 def main(argv=None) -> int:

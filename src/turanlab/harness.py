@@ -462,18 +462,25 @@ def write_csv(rows: Iterable[dict], out: str | Path | TextIO) -> None:
 def read_csv(path: str | Path) -> list[dict]:
     """Read a CSV file written by write_csv back into dict rows.
 
-    Blank lines are skipped.  A row with more or fewer fields than the
-    header is a ValueError naming the file and line.
+    Blank lines are skipped.  A repeated column, a row whose field count
+    differs from the header's, or a line csv cannot read (a field over its
+    size limit) is a ValueError naming the file and line.
     """
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = []
-        for fields in filter(None, reader):
-            if len(fields) != len(header):
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: expected {len(header)} fields, "
-                    f"got {len(fields)}"
-                )
-            rows.append(dict(zip(header, fields)))
+        try:
+            header = next(reader, [])
+            for column in header:
+                if header.count(column) > 1:
+                    raise ValueError(f"{path}: line 1: column {column!r} appears more than once")
+            rows = []
+            for fields in filter(None, reader):
+                if len(fields) != len(header):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: expected {len(header)} fields, "
+                        f"got {len(fields)}"
+                    )
+                rows.append(dict(zip(header, fields)))
+        except csv.Error as e:
+            raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
         return rows

@@ -27,8 +27,13 @@ degree of each free vertex) depends only on the core and its anchored
 vertices, so it is compiled once and cached; each search then reads host
 degrees straight from the adjacency bitmasks.
 
-The solver-facing checks `pattern_through_edge` and `expansion_through_triple`
-ask whether a new edge (or triple) completes a copy.  For a complete core they
+Host state lives here too: `GraphHost` holds adjacency bitmasks and part
+masks, and `ThreeGraphHost` adds pair links (pair -> bitmask of third
+vertices) over a shadow it keeps in step with every added or removed triple,
+so no search rebuilds the shadow.  The solvers grow a host edge by edge; the
+finders copy a static one.  The solver-facing checks `pattern_through_edge`
+and `expansion_through_triple` take a host that already holds the new edge
+(or triple) and ask whether it completes a copy.  For a complete core they
 anchor the new pair (ha, hb) as one core edge and run the same K_{s,t} search
 seeded with it: t-side candidates N(ha) minus hb, s-side candidates N(hb)
 minus ha, and a running intersection that must keep t - 1 members.  For C4
@@ -467,17 +472,104 @@ def _match_distinct(masks: list[int]) -> list[int] | None:
     return out
 
 
-def _combined_graph_view(g: Graph | BipartiteGraph) -> tuple[int, list[int], int, int]:
-    """(vertex count, adjacency, left mask, right mask) with right shifted."""
-    if isinstance(g, Graph):
-        full = (1 << g.n) - 1
-        return g.n, list(g.adj), full, full
-    nv = g.m + g.n
-    adj = [0] * nv
-    for u, w in g.edges:
-        adj[u] |= 1 << (g.m + w)
-        adj[g.m + w] |= 1 << u
-    return nv, adj, (1 << g.m) - 1, ((1 << g.n) - 1) << g.m
+# -- host state --
+
+
+class GraphHost:
+    """Adjacency bitmasks and part masks of a graph host, in combined labels.
+
+    ``GraphHost(n)`` is an empty plain host (both part masks full) and
+    ``GraphHost(m, n)`` an empty bipartite one; ``GraphHost.of`` copies a
+    static `Graph` or `BipartiteGraph`.
+    """
+
+    __slots__ = ("adj", "left_mask", "right_mask")
+
+    def __init__(self, m: int, n: int | None = None):
+        self.adj = [0] * (m if n is None else m + n)
+        self.left_mask = (1 << m) - 1
+        self.right_mask = self.left_mask if n is None else ((1 << n) - 1) << m
+
+    @classmethod
+    def of(cls, g: Graph | BipartiteGraph) -> "GraphHost":
+        if isinstance(g, Graph):
+            host = cls(g.n)
+            host.adj = list(g.adj)
+            return host
+        host = cls(g.m, g.n)
+        for u, w in g.edges:
+            host.add((u, g.m + w))
+        return host
+
+    def add(self, e: tuple[int, int]) -> None:
+        u, v = e
+        self.adj[u] |= 1 << v
+        self.adj[v] |= 1 << u
+
+    def remove(self, e: tuple[int, int]) -> None:
+        u, v = e
+        self.adj[u] &= ~(1 << v)
+        self.adj[v] &= ~(1 << u)
+
+
+class ThreeGraphHost(GraphHost):
+    """Pair links of a 3-graph host over its shadow ``adj``, in combined labels.
+
+    ``pair_link`` maps each sorted pair to the bitmask of the third vertices
+    of its edges and holds no empty link; `add` and `remove` (of sorted
+    triples) keep the shadow in step.  Built as a `GraphHost` is, from a
+    `ThreeGraph` or a `SemibipartiteThreeGraph` (``has_parts`` set).
+    """
+
+    __slots__ = ("pair_link", "has_parts")
+
+    def __init__(self, m: int, n: int | None = None):
+        super().__init__(m, n)
+        self.pair_link: dict[tuple[int, int], int] = {}
+        self.has_parts = n is not None
+
+    @classmethod
+    def of(cls, h: ThreeGraph | SemibipartiteThreeGraph) -> "ThreeGraphHost":
+        if isinstance(h, ThreeGraph):
+            host, triples = cls(h.n), h.edges
+        else:
+            host, triples = cls(h.m, h.n), [(u, v, h.m + w) for u, v, w in h.edges]
+        for t in triples:
+            host.add(t)
+        return host
+
+    def add(self, t: tuple[int, int, int]) -> None:
+        a, b, c = t
+        link, adj = self.pair_link, self.adj
+        for x, y, w in ((a, b, c), (a, c, b), (b, c, a)):
+            old = link.get((x, y), 0)
+            if not old:
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
+            link[(x, y)] = old | 1 << w
+
+    def remove(self, t: tuple[int, int, int]) -> None:
+        a, b, c = t
+        link, adj = self.pair_link, self.adj
+        for x, y, w in ((a, b, c), (a, c, b), (b, c, a)):
+            rest = link[(x, y)] & ~(1 << w)
+            if rest:
+                link[(x, y)] = rest
+            else:
+                del link[(x, y)]
+                adj[x] &= ~(1 << y)
+                adj[y] &= ~(1 << x)
+
+    def placement_masks(self, spec: PatternSpec) -> tuple[int, int]:
+        """Host vertices allowed for the core's (first, second) part."""
+        if spec.placement == "unordered":
+            full = self.left_mask | self.right_mask
+            return full, full
+        if not self.has_parts:
+            raise ValueError(f"placement {spec.placement!r} needs a semibipartite host")
+        if spec.placement == "ordered":
+            return self.left_mask, self.right_mask
+        return self.left_mask, self.left_mask  # core-in-V1
 
 
 def _iter_pattern_embeddings(
@@ -485,10 +577,9 @@ def _iter_pattern_embeddings(
     adj,
     left_mask: int,
     right_mask: int,
-    orientations: tuple[bool, ...] = (False,),
 ) -> Iterator[tuple[int, ...]]:
     core = spec.core
-    for flip in orientations:
+    for flip in _orientations_for(spec, left_mask, right_mask):
         lm, rm = (right_mask, left_mask) if flip else (left_mask, right_mask)
         if spec.is_complete:
             for a, b in iter_kst(adj, core.m, core.n, lm, rm):
@@ -518,10 +609,7 @@ def find_in_graph(g: Graph, spec: PatternSpec) -> EmbeddingWitness | None:
         raise ValueError("expansion pattern against a graph host")
     if spec.placement != "unordered":
         raise ValueError("placement constraints need a host with parts")
-    nv, adj, full, _ = _combined_graph_view(g)
-    for emb in _iter_pattern_embeddings(spec, adj, full, full):
-        return EmbeddingWitness(emb)
-    return None
+    return _first_copy(GraphHost.of(g), spec)
 
 
 def find_ordered_bipartite(g: BipartiteGraph, spec: PatternSpec) -> EmbeddingWitness | None:
@@ -535,55 +623,13 @@ def find_ordered_bipartite(g: BipartiteGraph, spec: PatternSpec) -> EmbeddingWit
         raise ValueError("expansion pattern against a bipartite graph host")
     if spec.placement == "core-in-V1":
         raise ValueError("core-in-V1 placement applies to semibipartite hosts")
-    nv, adj, left_mask, right_mask = _combined_graph_view(g)
-    orients = _orientations_for(spec, left_mask, right_mask)
-    for emb in _iter_pattern_embeddings(spec, adj, left_mask, right_mask, orients):
+    return _first_copy(GraphHost.of(g), spec)
+
+
+def _first_copy(host: GraphHost, spec: PatternSpec) -> EmbeddingWitness | None:
+    for emb in _iter_pattern_embeddings(spec, host.adj, host.left_mask, host.right_mask):
         return EmbeddingWitness(emb)
     return None
-
-
-def _three_graph_state(h: ThreeGraph | SemibipartiteThreeGraph):
-    """(nv, pair_link, left_mask, right_mask) with combined labels."""
-    if isinstance(h, SemibipartiteThreeGraph):
-        nv = h.m + h.n
-        left_mask = (1 << h.m) - 1
-        right_mask = ((1 << h.n) - 1) << h.m
-        triples = [(u, v, h.m + w) for u, v, w in h.edges]
-    else:
-        nv = h.n
-        left_mask = right_mask = (1 << nv) - 1
-        triples = list(h.edges)
-    pair_link: dict[tuple[int, int], int] = {}
-    for a, b, c in triples:
-        pair_link.setdefault((a, b), 0)
-        pair_link.setdefault((a, c), 0)
-        pair_link.setdefault((b, c), 0)
-        pair_link[(a, b)] |= 1 << c
-        pair_link[(a, c)] |= 1 << b
-        pair_link[(b, c)] |= 1 << a
-    return nv, pair_link, left_mask, right_mask
-
-
-def _shadow_adj(nv: int, pair_link) -> list[int]:
-    adj = [0] * nv
-    for (a, b), link in pair_link.items():
-        if link:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-    return adj
-
-
-def _expansion_placement_masks(
-    spec: PatternSpec, host_has_parts: bool, left_mask: int, right_mask: int
-) -> tuple[int, int]:
-    if spec.placement == "unordered":
-        full = left_mask | right_mask
-        return full, full
-    if not host_has_parts:
-        raise ValueError(f"placement {spec.placement!r} needs a semibipartite host")
-    if spec.placement == "ordered":
-        return left_mask, right_mask
-    return left_mask, left_mask  # core-in-V1
 
 
 def _try_apex_match(
@@ -633,14 +679,11 @@ def find_expansion(
     """
     if not spec.expansion:
         raise ValueError("graph pattern against a 3-graph host")
-    has_parts = isinstance(h, SemibipartiteThreeGraph)
-    nv, pair_link, host_left, host_right = _three_graph_state(h)
-    adj = _shadow_adj(nv, pair_link)
-    lm, rm = _expansion_placement_masks(spec, has_parts, host_left, host_right)
+    host = ThreeGraphHost.of(h)
+    lm, rm = host.placement_masks(spec)
     combined_edges = _combined_edges(spec.core)
-    orients = _orientations_for(spec, lm, rm)
-    for emb in _iter_pattern_embeddings(spec, adj, lm, rm, orients):
-        witness = _try_apex_match(emb, combined_edges, pair_link)
+    for emb in _iter_pattern_embeddings(spec, host.adj, lm, rm):
+        witness = _try_apex_match(emb, combined_edges, host.pair_link)
         if witness is not None:
             return witness
     return None
@@ -656,7 +699,7 @@ def iter_graph_embeddings(g: Graph, spec: PatternSpec) -> Iterator[tuple[int, ..
     yield from _iter_core_embeddings(core.m + core.n, _combined_edges(core), allowed, list(g.adj))
 
 
-# -- solver-facing incremental checks (host state as bitmask adjacency) --
+# -- solver-facing incremental checks (the host already holds the new edge) --
 
 
 def _iter_through_pair(
@@ -701,30 +744,17 @@ def _iter_through_pair(
                         yield ei, emb
 
 
-def pattern_through_edge(
-    adj: list[int],
-    spec: PatternSpec,
-    u: int,
-    v: int,
-    left_mask: int,
-    right_mask: int,
-) -> bool:
-    """Does some copy of the pattern use host edge (u, v)?  adj includes it."""
-    for _ in _iter_through_pair(spec, adj, left_mask, right_mask, (u, v)):
+def pattern_through_edge(host: GraphHost, spec: PatternSpec, u: int, v: int) -> bool:
+    """Does some copy of the pattern use host edge (u, v)?  The host holds it."""
+    for _ in _iter_through_pair(spec, host.adj, host.left_mask, host.right_mask, (u, v)):
         return True
     return False
 
 
 def expansion_through_triple(
-    nv: int,
-    pair_link: dict[tuple[int, int], int],
-    spec: PatternSpec,
-    triple: tuple[int, int, int],
-    left_mask: int,
-    right_mask: int,
-    host_has_parts: bool,
+    host: ThreeGraphHost, spec: PatternSpec, triple: tuple[int, int, int]
 ) -> bool:
-    """Does some expansion copy use the given host triple?  pair_link includes it.
+    """Does some expansion copy use the given host triple?  The host holds it.
 
     Any new copy must realize one core edge as (pair of the triple, apex =
     its third vertex), so the search anchors each decomposition in turn,
@@ -732,8 +762,8 @@ def expansion_through_triple(
     """
     if not spec.expansion:
         raise ValueError("graph pattern against a 3-graph host")
-    lm, rm = _expansion_placement_masks(spec, host_has_parts, left_mask, right_mask)
-    adj = _shadow_adj(nv, pair_link)
+    lm, rm = host.placement_masks(spec)
+    adj, pair_link = host.adj, host.pair_link
     combined_edges = _combined_edges(spec.core)
     a, b, c = triple
     for pair, apex in (((a, b), c), ((a, c), b), ((b, c), a)):
@@ -748,7 +778,7 @@ def expansion_through_triple(
 
 def heavy_shadow_graph(h: ThreeGraph, threshold: int) -> Graph:
     """Graph of shadow pairs whose pair degree in h is >= threshold."""
-    _, pair_link, _, _ = _three_graph_state(h)
+    pair_link = ThreeGraphHost.of(h).pair_link
     edges = [pair for pair, link in pair_link.items() if link.bit_count() >= threshold]
     return Graph(h.n, edges)
 
@@ -765,18 +795,20 @@ def greedy_extend(h: ThreeGraph, s_side: tuple[int, ...], t_side: tuple[int, ...
         raise ValueError("core sides must be nonempty")
     if len(set(s_side) | set(t_side)) != s + t:
         raise ValueError("core vertices must be distinct")
-    _, pair_link, _, _ = _three_graph_state(h)
+    core_pairs = [(a, b) if a < b else (b, a) for a in s_side for b in t_side]
+    pair_link = dict.fromkeys(core_pairs, 0)
+    for a, b, c in h.edges:  # the links of the core pairs, and no others
+        if (a, b) in pair_link:
+            pair_link[(a, b)] |= 1 << c
+        if (a, c) in pair_link:
+            pair_link[(a, c)] |= 1 << b
+        if (b, c) in pair_link:
+            pair_link[(b, c)] |= 1 << a
     need = s * t + s + t
-    core_pairs = []
-    for a in s_side:
-        for b in t_side:
-            key = (a, b) if a < b else (b, a)
-            deg = pair_link.get(key, 0).bit_count()
-            if deg < need:
-                raise ValueError(
-                    f"pair {key} has degree {deg} < {need}; extension not guaranteed"
-                )
-            core_pairs.append(key)
+    for key in core_pairs:
+        deg = pair_link[key].bit_count()
+        if deg < need:
+            raise ValueError(f"pair {key} has degree {deg} < {need}; extension not guaranteed")
     core_mask = 0
     for v in (*s_side, *t_side):
         core_mask |= 1 << v

@@ -12,25 +12,26 @@ small enough for exhaustive reasoning.  Three entry points set it up:
   expansion pattern and one core-in-V1 expansion pattern simultaneously.
 
 Each entry point hands the engine its lexicographic edge universe, the
-vertices whose degree each edge raises, and a host state (adjacency
-bitmasks for graphs, pair links for 3-graphs) that adds, removes and tests
-an edge.  The engine walks the universe depth first, trying inclusion
-before exclusion, and prunes a branch when (i) the new edge completes a
-forbidden pattern, (ii) the incumbent cannot be beaten even if every
-remaining edge were added, (iii) symmetry breaking rules the branch out:
-tracked degrees must not increase with the vertex label, checked where a
-vertex's degree becomes final, and for ``z_exact`` and
-``z_expansion_exact`` the right part's columns of the row-major universe
-must be in non-increasing lex order, checked at every row end, or (iv) the
-degree floor can no longer be met: with symmetry breaking on, vertex 0
-carries the largest degree of every surviving host, so only its degree is
-tested; with it off, no vertex may still reach the floor.  All of these
-are exact: every host has a relabelled copy that passes (iii), with the
-same edge count and maximum degree.  Because inclusion is tried first
-and the incumbent is replaced only on strict improvement, the reported
-witness is the lexicographically smallest optimal edge set among the hosts
-the symmetry-reduced search visits.  Every witness is re-verified against
-the full pattern finders before being returned.
+vertices whose degree each edge raises, an empty `turanlab.patterns` host
+(``GraphHost`` at rank 2, ``ThreeGraphHost`` at rank 3) that adds and
+removes an edge, and a ``hits`` test of an added edge against its patterns;
+the host's layout stays inside `turanlab.patterns`.  The engine walks the
+universe depth first, trying inclusion before exclusion, and prunes a
+branch when (i) the new edge completes a forbidden pattern, (ii) the
+incumbent cannot be beaten even if every remaining edge were added, (iii)
+symmetry breaking rules the branch out: tracked degrees must not increase
+with the vertex label, checked where a vertex's degree becomes final, and
+for ``z_exact`` and ``z_expansion_exact`` the right part's columns of the
+row-major universe must be in non-increasing lex order, checked at every
+row end, or (iv) the degree floor can no longer be met: with symmetry
+breaking on, vertex 0 carries the largest degree of every surviving host,
+so only its degree is tested; with it off, no vertex may still reach the
+floor.  All of these are exact: every host has a relabelled copy that
+passes (iii), with the same edge count and maximum degree.  Because
+inclusion is tried first and the incumbent is replaced only on strict
+improvement, the reported witness is the lexicographically smallest optimal
+edge set among the hosts the symmetry-reduced search visits.  Every witness
+is re-verified against the full pattern finders before being returned.
 
 Rule (i) is the hot path: one `pattern_through_edge` or
 `expansion_through_triple` call per included edge.  Those calls reuse a
@@ -48,14 +49,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import mpmath
 
 from .errors import CapExceededError, InvariantViolationError
 from .hypergraph import BipartiteGraph, Graph, SemibipartiteThreeGraph, ThreeGraph
 from .patterns import (
+    GraphHost,
     PatternSpec,
+    ThreeGraphHost,
     expansion_through_triple,
     find_expansion,
     find_in_graph,
@@ -95,70 +98,14 @@ class SolveResult:
         }
 
 
-class _PairState:
-    """Adjacency bitmasks of a graph host; an edge hits if it completes a pattern copy."""
-
-    __slots__ = ("adj", "specs", "left_mask", "right_mask")
-
-    def __init__(self, nv: int, specs, left_mask: int, right_mask: int):
-        self.adj = [0] * nv
-        self.specs = specs
-        self.left_mask = left_mask
-        self.right_mask = right_mask
-
-    def add(self, e: tuple[int, int]) -> None:
-        u, v = e
-        self.adj[u] |= 1 << v
-        self.adj[v] |= 1 << u
-
-    def remove(self, e: tuple[int, int]) -> None:
-        u, v = e
-        self.adj[u] &= ~(1 << v)
-        self.adj[v] &= ~(1 << u)
-
-    def hits(self, e: tuple[int, int]) -> bool:
-        u, v = e
-        adj, lm, rm = self.adj, self.left_mask, self.right_mask
-        return any(pattern_through_edge(adj, s, u, v, lm, rm) for s in self.specs)
+def _edge_hits(host: GraphHost, specs) -> Callable[[tuple[int, int]], bool]:
+    """The engine's test at rank 2: does an added edge complete some copy?"""
+    return lambda e: any(pattern_through_edge(host, s, e[0], e[1]) for s in specs)
 
 
-class _TripleState:
-    """Pair links (pair -> bitmask of third vertices) of a 3-graph host, fed
-    sorted triples; a triple hits if it completes an expansion copy."""
-
-    __slots__ = ("nv", "pair_link", "specs", "left_mask", "right_mask", "has_parts")
-
-    def __init__(self, nv: int, specs, left_mask: int, right_mask: int, has_parts: bool):
-        self.nv = nv
-        self.pair_link: dict[tuple[int, int], int] = {}
-        self.specs = specs
-        self.left_mask = left_mask
-        self.right_mask = right_mask
-        self.has_parts = has_parts
-
-    def add(self, t: tuple[int, int, int]) -> None:
-        a, b, c = t
-        link = self.pair_link
-        for x, y, w in ((a, b, c), (a, c, b), (b, c, a)):
-            link[(x, y)] = link.get((x, y), 0) | (1 << w)
-
-    def remove(self, t: tuple[int, int, int]) -> None:
-        a, b, c = t
-        link = self.pair_link
-        for x, y, w in ((a, b, c), (a, c, b), (b, c, a)):
-            left = link[(x, y)] & ~(1 << w)
-            if left:
-                link[(x, y)] = left
-            else:
-                del link[(x, y)]
-
-    def hits(self, t: tuple[int, int, int]) -> bool:
-        return any(
-            expansion_through_triple(
-                self.nv, self.pair_link, s, t, self.left_mask, self.right_mask, self.has_parts
-            )
-            for s in self.specs
-        )
+def _triple_hits(host: ThreeGraphHost, specs) -> Callable[[tuple[int, int, int]], bool]:
+    """The engine's test at rank 3: does an added triple complete some copy?"""
+    return lambda t: any(expansion_through_triple(host, s, t) for s in specs)
 
 
 def _branch_and_bound(
@@ -167,20 +114,22 @@ def _branch_and_bound(
     nv_deg: int,
     divisor: int,
     symmetry: bool,
-    state,
+    host: GraphHost | ThreeGraphHost,
+    hits: Callable[[tuple], bool],
     floor: int | None = None,
     row_width: int = 0,
 ) -> tuple[int, tuple[int, ...], int]:
-    """Largest subset of the edge universe that the host state accepts.
+    """Largest subset of the edge universe that ``hits`` accepts.
 
-    Edges are decided in universe order, inclusion first; an included edge
-    must not make ``state.hits`` true.  ``raises[i]`` lists the degree-tracked
-    vertices (labels below ``nv_deg``) whose degree edge i raises; every edge
-    raises exactly ``divisor`` of them, so tracked degrees sum to
-    ``divisor * |E|``.  A vertex's degree is final one past the last edge
-    that raises it; with ``symmetry`` set, a branch is cut there when that
-    degree exceeds its predecessor's, so every surviving leaf has
-    non-increasing degrees over the tracked vertices that some edge raises.
+    Edges are decided in universe order, inclusion first; an edge is added
+    to ``host`` and kept only if ``hits(edge)`` is then false.
+    ``raises[i]`` lists the degree-tracked vertices (labels below
+    ``nv_deg``) whose degree edge i raises; every edge raises exactly
+    ``divisor`` of them, so tracked degrees sum to ``divisor * |E|``.  A
+    vertex's degree is final one past the last edge that raises it; with
+    ``symmetry`` set, a branch is cut there when that degree exceeds its
+    predecessor's, so every surviving leaf has non-increasing degrees over
+    the tracked vertices that some edge raises.
 
     With ``floor`` set, a branch is cut once no tracked vertex can still
     reach that degree.  With ``symmetry`` set as well, every tracked vertex
@@ -226,7 +175,7 @@ def _branch_and_bound(
         cols = [0] * row_width
         cell = [(i % row_width, 1 << (top - i // row_width)) for i in range(L)]
 
-    add, remove, hits = state.add, state.remove, state.hits
+    add, remove = host.add, host.remove
     deg = [0] * nv_deg
     chosen: list[int] = []
     best = -1
@@ -302,7 +251,6 @@ def ex_exact(
     specs = normalize_specs(patterns)
     if n < 0:
         raise ValueError("n must be >= 0")
-    full = (1 << n) - 1
     if host_kind == "graph":
         if n > MAX_EX_GRAPH_VERTICES:
             raise CapExceededError(f"graph solver capped at n <= {MAX_EX_GRAPH_VERTICES}")
@@ -313,7 +261,8 @@ def ex_exact(
                 raise ValueError("graph hosts have no parts; use unordered placement")
         rank = 2
         max_degree = max(n - 1, 0)
-        state = _PairState(n, specs, full, full)
+        host = GraphHost(n)
+        hits = _edge_hits(host, specs)
     elif host_kind == "3graph":
         if n > MAX_EX_THREE_VERTICES:
             raise CapExceededError(f"3-graph solver capped at n <= {MAX_EX_THREE_VERTICES}")
@@ -324,7 +273,8 @@ def ex_exact(
                 raise ValueError("3-graph hosts have no parts; use unordered placement")
         rank = 3
         max_degree = (n - 1) * (n - 2) // 2 if n >= 2 else 0
-        state = _TripleState(n, specs, full, full, False)
+        host = ThreeGraphHost(n)
+        hits = _triple_hits(host, specs)
     else:
         raise ValueError(f"unknown host kind {host_kind!r}")
 
@@ -341,7 +291,7 @@ def ex_exact(
             floor = None
 
     universe = list(combinations(range(n), rank))
-    best, chosen, nodes = _branch_and_bound(universe, universe, n, rank, symmetry, state, floor)
+    best, chosen, nodes = _branch_and_bound(universe, universe, n, rank, symmetry, host, hits, floor)
 
     if best < 0:
         return SolveResult(0, None, nodes)
@@ -380,10 +330,10 @@ def z_exact(
 
     # host labels put the right part after the left; only left degrees are tracked
     cells = [(u, w) for u in range(m) for w in range(n)]
-    state = _PairState(m + n, specs, (1 << m) - 1, ((1 << n) - 1) << m)
+    host = GraphHost(m, n)
     best, chosen, nodes = _branch_and_bound(
-        [(u, m + w) for u, w in cells], [(u,) for u, _ in cells], m, 1, symmetry, state,
-        row_width=n,
+        [(u, m + w) for u, w in cells], [(u,) for u, _ in cells], m, 1, symmetry, host,
+        _edge_hits(host, specs), row_width=n,
     )
 
     witness = BipartiteGraph(m, n, [cells[i] for i in chosen])
@@ -421,10 +371,10 @@ def z_expansion_exact(
 
     # host labels put the right part after the left; only left degrees are tracked
     cells = [(u, v, w) for u, v in combinations(range(m), 2) for w in range(n)]
-    state = _TripleState(m + n, specs, (1 << m) - 1, ((1 << n) - 1) << m, True)
+    host = ThreeGraphHost(m, n)
     best, chosen, nodes = _branch_and_bound(
-        [(u, v, m + w) for u, v, w in cells], [(u, v) for u, v, _ in cells], m, 2, symmetry, state,
-        row_width=n,
+        [(u, v, m + w) for u, v, w in cells], [(u, v) for u, v, _ in cells], m, 2, symmetry, host,
+        _triple_hits(host, specs), row_width=n,
     )
 
     witness = SemibipartiteThreeGraph(m, n, [cells[i] for i in chosen])

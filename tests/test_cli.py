@@ -187,6 +187,17 @@ class TestScanAndReport:
         assert len(lines) == 5
         assert lines[0].startswith("pattern,host_kind,n,alpha")
 
+    def test_scan_rejects_zero_denominator_alpha(self, capsys):
+        assert main(["scan", "--pattern", "C4", "--n", "5", "--alpha", "1/0"]) == 2
+        status = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert status["exit"] == 2 and status["status"] == "error"
+        assert "'1/0'" in status["error"]
+
+    def test_jobs_belongs_to_scan_only(self, capsys):
+        assert main(["solve", "ex", "--n", "5", "--pattern", "C4", "--jobs", "2"]) == 2
+        status = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert status == {"command": None, "exit": 2, "status": "error"}
+
     def test_report_merges(self, tmp_path):
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         first.write_text("x,y\n1,2\n")
@@ -223,6 +234,24 @@ class TestScanAndReport:
         assert status["exit"] == 2 and status["status"] == "error"
         line = body.count("\n")
         assert status["error"] == f"{path}: line {line}: expected 2 fields, got {got}"
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            ("a,a\n1,2\n", "line 1: column 'a' appears more than once"),
+            ("a\n" + "x" * 140_000 + "\n", "line 2: field larger than field limit (131072)"),
+        ],
+        ids=["repeated-column", "oversized-field"],
+    )
+    def test_report_rejects_unreadable_csv(self, tmp_path, capsys, body, error):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        status = json.loads(captured.err.strip().splitlines()[-1])
+        assert status["exit"] == 2 and status["status"] == "error"
+        assert status["error"] == f"{path}: {error}"
 
 
 class TestBound:

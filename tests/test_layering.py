@@ -2,7 +2,8 @@
 
 A module under src/turanlab may not import a ``_``-prefixed name from
 another turanlab module, and a test may not import one from
-``turanlab.cli`` or ``turanlab.suites``.
+``turanlab.cli``, ``turanlab.suites``, ``turanlab.patterns`` or
+``turanlab.solvers``.
 """
 
 import ast
@@ -34,8 +35,8 @@ def _in_package(module: str) -> bool:
     return module == "turanlab" or module.startswith("turanlab.")
 
 
-def _cli_or_suites(module: str) -> bool:
-    return module in ("turanlab.cli", "turanlab.suites")
+def _guarded_for_tests(module: str) -> bool:
+    return module in ("turanlab.cli", "turanlab.suites", "turanlab.patterns", "turanlab.solvers")
 
 
 def test_guard_flags_private_imports():
@@ -44,12 +45,20 @@ def test_guard_flags_private_imports():
         "from turanlab.cli import JobSpec, _emit\n"
         "from turanlab.suites import random_3graph as _random_3graph\n"
         "from itertools import _private\n"
+        "from turanlab.solvers import _branch_and_bound\n"
+        "from turanlab.hypergraph import _check_handshake\n"
     )
     assert _private_imports(source, _in_package) == [
         (1, "turanlab.patterns", "_iter_kst"),
         (2, "turanlab.cli", "_emit"),
+        (5, "turanlab.solvers", "_branch_and_bound"),
+        (6, "turanlab.hypergraph", "_check_handshake"),
     ]
-    assert _private_imports(source, _cli_or_suites) == [(2, "turanlab.cli", "_emit")]
+    assert _private_imports(source, _guarded_for_tests) == [
+        (1, "turanlab.patterns", "_iter_kst"),
+        (2, "turanlab.cli", "_emit"),
+        (5, "turanlab.solvers", "_branch_and_bound"),
+    ]
 
 
 def test_modules_import_no_private_names():
@@ -61,10 +70,10 @@ def test_modules_import_no_private_names():
     assert bad == {}
 
 
-def test_tests_import_no_private_cli_or_suites_names():
+def test_tests_import_no_private_guarded_names():
     bad = {
         path.name: hits
         for path in sorted(TESTS.rglob("*.py"))
-        if (hits := _private_imports(path.read_text(), _cli_or_suites))
+        if (hits := _private_imports(path.read_text(), _guarded_for_tests))
     }
     assert bad == {}

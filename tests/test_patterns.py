@@ -10,7 +10,9 @@ from turanlab.hypergraph import BipartiteGraph, Graph, SemibipartiteThreeGraph, 
 from turanlab.patterns import (
     EmbeddingWitness,
     ExpansionWitness,
+    GraphHost,
     PatternSpec,
+    ThreeGraphHost,
     complete_bipartite,
     even_cycle,
     expand,
@@ -398,6 +400,83 @@ def test_semibipartite_expansion_matches_oracle():
     assert hits > 8
 
 
+# -- host state --
+
+
+def _links_of(triples):
+    """Pair links recomputed from a set of sorted triples."""
+    pair_link = {}
+    for a, b, c in triples:
+        for pair, apex in (((a, b), c), ((a, c), b), ((b, c), a)):
+            pair_link[pair] = pair_link.get(pair, 0) | 1 << apex
+    return pair_link
+
+
+def _shadow_of_links(nv, pair_link):
+    """Shadow adjacency recomputed from pair links, the reference for the
+    shadow a 3-graph host keeps."""
+    adj = [0] * nv
+    for (a, b), link in pair_link.items():
+        if link:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return adj
+
+
+def _host_state(host):
+    slots = [slot for cls in type(host).__mro__ for slot in getattr(cls, "__slots__", ())]
+    return {slot: getattr(host, slot) for slot in slots}
+
+
+@pytest.mark.parametrize("m,n", [(7, None), (4, 3)], ids=["plain", "semibipartite"])
+def test_three_graph_host_keeps_its_shadow(m, n):
+    rng = random.Random(19)
+    if n is None:
+        universe = list(itertools.combinations(range(m), 3))
+    else:
+        pairs = itertools.combinations(range(m), 2)
+        universe = [(u, v, m + w) for u, v in pairs for w in range(n)]
+    host = ThreeGraphHost(m, n)
+    present = set()
+    for _ in range(400):
+        t = rng.choice(universe)
+        if t in present:
+            host.remove(t)
+            present.remove(t)
+        else:
+            host.add(t)
+            present.add(t)
+        assert host.pair_link == _links_of(present)
+        assert host.adj == _shadow_of_links(len(host.adj), host.pair_link)
+
+
+def test_hosts_from_static_match_edge_by_edge():
+    rng = random.Random(20)
+    g = _random_graph(rng, 7, 0.5)
+    bg = _random_bipartite(rng, 4, 5, 0.5)
+    h = _random_three_graph(rng, 7, 0.4)
+    sh = _random_semibipartite(rng, 4, 3, 0.5)
+    cases = [
+        (GraphHost.of(g), GraphHost(7), list(g.edges), (0x7F, 0x7F)),
+        (GraphHost.of(bg), GraphHost(4, 5), [(u, 4 + w) for u, w in bg.edges], (0xF, 0x1F0)),
+        (ThreeGraphHost.of(h), ThreeGraphHost(7), list(h.edges), (0x7F, 0x7F)),
+        (
+            ThreeGraphHost.of(sh),
+            ThreeGraphHost(4, 3),
+            [(u, v, 4 + w) for u, v, w in sh.edges],
+            (0xF, 0x70),
+        ),
+    ]
+    for static, grown, edges, masks in cases:
+        assert edges
+        rng.shuffle(edges)
+        for e in edges:
+            grown.add(e)
+        assert _host_state(static) == _host_state(grown)
+        assert (static.left_mask, static.right_mask) == masks
+    assert not ThreeGraphHost.of(h).has_parts and ThreeGraphHost.of(sh).has_parts
+
+
 # -- anchored incremental checks --
 
 
@@ -405,18 +484,15 @@ def test_pattern_through_edge_evolution():
     rng = random.Random(15)
     for spec in (complete_bipartite(2, 2), even_cycle(6)):
         n = 8
-        adj = [0] * n
+        host = GraphHost(n)
         kept = []
         rejected = []
         candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(candidates)
-        full = (1 << n) - 1
         for u, v in candidates:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            if pattern_through_edge(adj, spec, u, v, full, full):
-                adj[u] &= ~(1 << v)
-                adj[v] &= ~(1 << u)
+            host.add((u, v))
+            if pattern_through_edge(host, spec, u, v):
+                host.remove((u, v))
                 rejected.append((u, v))
             else:
                 kept.append((u, v))
@@ -431,21 +507,16 @@ def test_pattern_through_edge_evolution():
 def test_pattern_through_edge_ordered_masks():
     rng = random.Random(16)
     m = n = 4
-    nv = m + n
-    left_mask = (1 << m) - 1
-    right_mask = ((1 << n) - 1) << m
     spec = complete_bipartite(1, 2, placement="ordered")
-    adj = [0] * nv
+    host = GraphHost(m, n)
     kept = []
     rejected = []
     candidates = [(u, m + w) for u in range(m) for w in range(n)]
     rng.shuffle(candidates)
     for u, v in candidates:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        if pattern_through_edge(adj, spec, u, v, left_mask, right_mask):
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
+        host.add((u, v))
+        if pattern_through_edge(host, spec, u, v):
+            host.remove((u, v))
             rejected.append((u, v))
         else:
             kept.append((u, v))
@@ -462,23 +533,16 @@ def test_expansion_through_triple_evolution():
     rng = random.Random(17)
     n = 7
     spec = complete_bipartite(1, 2, expansion=True)
-    full = (1 << n) - 1
-    pair_link = {}
+    host = ThreeGraphHost(n)
     kept = []
     rejected = []
     candidates = list(itertools.combinations(range(n), 3))
     rng.shuffle(candidates)
 
-    def add(t, sign):
-        a, b, c = t
-        for pair, apex in (((a, b), c), ((a, c), b), ((b, c), a)):
-            cur = pair_link.get(pair, 0)
-            pair_link[pair] = cur | 1 << apex if sign > 0 else cur & ~(1 << apex)
-
     for t in candidates:
-        add(t, +1)
-        if expansion_through_triple(n, pair_link, spec, t, full, full, False):
-            add(t, -1)
+        host.add(t)
+        if expansion_through_triple(host, spec, t):
+            host.remove(t)
             rejected.append(t)
         else:
             kept.append(t)

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 from test_patterns import _brute_bipartite, _brute_expansion, _brute_graph
 from turanlab.hypergraph import BipartiteGraph, Graph, SemibipartiteThreeGraph, ThreeGraph
 from turanlab.patterns import (
+    GraphHost,
     PatternSpec,
+    ThreeGraphHost,
     complete_bipartite,
     even_cycle,
     expansion_through_triple,
@@ -60,13 +62,6 @@ def _grow(order, add, remove, incremental, brute):
             remove(e)
 
 
-def _link_update(pair_link, t, sign):
-    a, b, c = t
-    for pair, apex in (((a, b), c), ((a, c), b), ((b, c), a)):
-        cur = pair_link.get(pair, 0)
-        pair_link[pair] = cur | 1 << apex if sign > 0 else cur & ~(1 << apex)
-
-
 def _case_id(value):
     return value.display_name() if isinstance(value, PatternSpec) else None
 
@@ -93,27 +88,22 @@ def _grow_graph(data, spec, n, extra):
     planted = [tuple(sorted((image[a], image[core.m + b]))) for a, b in core.edges]
     universe = list(itertools.combinations(range(n), 2))
     order = _draw_order(data, planted, universe, extra)
-    full = (1 << n) - 1
-    adj = [0] * n
+    host = GraphHost(n)
     kept = []
 
     def add(e):
-        u, v = e
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+        host.add(e)
         kept.append(e)
 
     def remove(e):
-        u, v = e
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
+        host.remove(e)
         kept.remove(e)
 
     _grow(
         order,
         add,
         remove,
-        lambda e: pattern_through_edge(adj, spec, e[0], e[1], full, full),
+        lambda e: pattern_through_edge(host, spec, e[0], e[1]),
         lambda e: _brute_graph(Graph(n, kept), spec) is not None,
     )
 
@@ -151,34 +141,27 @@ BIPARTITE_CASES = [
 
 def _grow_bipartite(data, spec, m, n, extra):
     core = spec.core
-    nv = m + n
     left = data.draw(st.permutations(range(m)))[: core.m]
     right = data.draw(st.permutations(range(n)))[: core.n]
     planted = [(left[a], m + right[b]) for a, b in core.edges]
     universe = [(u, m + w) for u in range(m) for w in range(n)]
     order = _draw_order(data, planted, universe, extra)
-    left_mask = (1 << m) - 1
-    right_mask = ((1 << n) - 1) << m
-    adj = [0] * nv
+    host = GraphHost(m, n)
     kept = []
 
     def add(e):
-        u, v = e
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+        host.add(e)
         kept.append(e)
 
     def remove(e):
-        u, v = e
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
+        host.remove(e)
         kept.remove(e)
 
     _grow(
         order,
         add,
         remove,
-        lambda e: pattern_through_edge(adj, spec, e[0], e[1], left_mask, right_mask),
+        lambda e: pattern_through_edge(host, spec, e[0], e[1]),
         lambda e: _brute_bipartite(BipartiteGraph(m, n, [(u, v - m) for u, v in kept]), spec)
         is not None,
     )
@@ -225,23 +208,22 @@ def test_through_triple_matches_brute_on_3graphs(spec, n, data):
         ]
     universe = list(itertools.combinations(range(n), 3))
     order = _draw_order(data, planted, universe, 12)
-    full = (1 << n) - 1
-    pair_link = {}
+    host = ThreeGraphHost(n)
     kept = []
 
     def add(t):
-        _link_update(pair_link, t, +1)
+        host.add(t)
         kept.append(t)
 
     def remove(t):
-        _link_update(pair_link, t, -1)
+        host.remove(t)
         kept.remove(t)
 
     _grow(
         order,
         add,
         remove,
-        lambda t: expansion_through_triple(n, pair_link, spec, t, full, full, False),
+        lambda t: expansion_through_triple(host, spec, t),
         lambda t: _brute_expansion(ThreeGraph(n, kept), spec) is not None,
     )
 
@@ -287,17 +269,15 @@ def test_through_triple_matches_brute_on_semibipartite_hosts(spec, m, n, data):
         ]
     universe = [(u, v, w) for u, v in itertools.combinations(range(m), 2) for w in range(m, m + n)]
     order = _draw_order(data, planted, universe, 12)
-    left_mask = (1 << m) - 1
-    right_mask = ((1 << n) - 1) << m
-    pair_link = {}
+    host = ThreeGraphHost(m, n)
     kept = []
 
     def add(t):
-        _link_update(pair_link, t, +1)
+        host.add(t)
         kept.append(t)
 
     def remove(t):
-        _link_update(pair_link, t, -1)
+        host.remove(t)
         kept.remove(t)
 
     def brute(_t):
@@ -308,8 +288,6 @@ def test_through_triple_matches_brute_on_semibipartite_hosts(spec, m, n, data):
         order,
         add,
         remove,
-        lambda t: expansion_through_triple(
-            m + n, pair_link, spec, t, left_mask, right_mask, True
-        ),
+        lambda t: expansion_through_triple(host, spec, t),
         brute,
     )
