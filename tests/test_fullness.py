@@ -1,12 +1,16 @@
-"""Fullness extraction: frozen hand cases plus a replayed random audit."""
+"""Fullness extraction: frozen hand cases, a replayed random audit, and a
+differential test against the scan-and-restart definition."""
 
 import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from turanlab.fullness import (
     FullnessGroup,
+    FullnessResult,
     FullnessSpec,
     extract_full,
     is_full,
@@ -129,3 +133,102 @@ def test_random_audit():
         assert set(res.hypergraph.edges) <= set(h.edges)
         assert len(set(res.deleted_elements)) == len(res.deleted_elements)
         _replay_check(h, spec, res)
+
+
+def _contains(edge, subset):
+    return all(x in edge for x in subset)
+
+
+def _reference_is_full(h, spec):
+    """Fullness by definition: every listed subset's degree, one edge scan each."""
+    for g in spec.groups:
+        for e in g.elements:
+            d = sum(1 for t in h.edges if _contains(t, e))
+            if 0 < d < g.floor:
+                return False
+    return True
+
+
+def _reference_extract_full(h, spec):
+    """The scan-and-restart deletion, as the fullness module defines it."""
+    alive = set(h.edges)
+    deg = {e: sum(1 for t in alive if _contains(t, e)) for g in spec.groups for e in g.elements}
+    deleted_elements = []
+    deleted_edges = 0
+    changed = True
+    while changed:
+        changed = False
+        for gi, g in enumerate(spec.groups):
+            for e in g.elements:
+                if 0 < deg[e] < g.floor:
+                    doomed = [t for t in alive if _contains(t, e)]
+                    for t in doomed:
+                        alive.remove(t)
+                        for e2 in deg:
+                            if _contains(t, e2):
+                                deg[e2] -= 1
+                    deleted_elements.append((gi, e))
+                    deleted_edges += len(doomed)
+                    changed = True
+                    break
+            if changed:
+                break
+    lower = len(h.edges) - spec.deletion_budget()
+    return FullnessResult(
+        ThreeGraph(h.n, sorted(alive)), tuple(deleted_elements), deleted_edges, lower
+    )
+
+
+def test_later_group_deletion_sends_the_scan_back_to_group_zero():
+    # deleting vertex 3 (group 1) drops vertex 0 (group 0) to degree 1, so the
+    # next deletion is vertex 0, before vertex 5 further along group 1
+    h = ThreeGraph(6, [(0, 1, 2), (0, 3, 4), (1, 2, 5)])
+    spec = FullnessSpec((FullnessGroup(((0,),), 2), FullnessGroup(((3,), (5,)), 2)), 1)
+    res = extract_full(h, spec)
+    assert res.deleted_elements == ((1, (3,)), (0, (0,)), (1, (5,)))
+    assert res.hypergraph.edges == ()
+    assert res == _reference_extract_full(h, spec)
+
+
+@st.composite
+def _hosts_and_specs(draw):
+    """A random 3-graph on up to 12 vertices and a vertex or pair spec of 1-3
+    groups with mixed floors, listing all or only some of the subsets."""
+    n = draw(st.integers(3, 12))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from((0.1, 0.25, 0.4, 0.6, 0.85)))
+    h = ThreeGraph(
+        n, [t for t in itertools.combinations(range(n), 3) if rng.random() < density]
+    )
+    size = draw(st.sampled_from((1, 2)))
+    pool = list(itertools.combinations(range(n), size))
+    k = draw(st.integers(1, 3))
+    # -1 leaves a subset unlisted
+    owner = draw(st.lists(st.integers(-1, k - 1), min_size=len(pool), max_size=len(pool)))
+    top = (n - 1) * (n - 2) // 2 if size == 1 else n - 2
+    groups = []
+    for j in range(k):
+        part = tuple(e for e, o in zip(pool, owner) if o == j)
+        if part:
+            groups.append(FullnessGroup(part, draw(st.integers(1, top + 2))))
+    return h, FullnessSpec(tuple(groups), size)
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(_hosts_and_specs())
+def test_extract_full_and_is_full_match_the_definition(case):
+    h, spec = case
+    assert is_full(h, spec) == _reference_is_full(h, spec)
+    res = extract_full(h, spec)
+    ref = _reference_extract_full(h, spec)
+    assert res.hypergraph == ref.hypergraph
+    assert res.deleted_elements == ref.deleted_elements
+    assert res.deleted_edges == ref.deleted_edges
+    assert res.lower_bound == ref.lower_bound
+    assert res == ref
+    assert is_full(res.hypergraph, spec) and _reference_is_full(res.hypergraph, spec)
