@@ -10,10 +10,25 @@ degree never rises, so each is deleted at most once and at most floor - 1
 edges are spent on it, which gives the retained-size guarantee
 
     |result| >= |input| - sum_j (floor_j - 1) * |group_j|.
+
+Neither function rescans the edges per subset.  is_full counts the degree
+of every subset of the spec's size in one pass over the edges, each triple
+feeding its three vertices or its three pairs.  extract_full indexes each
+listed subset by the set of live triples containing it (its degree is the
+set's size) and gives it a scan rank: its group's position, then its own
+position in the group.  A min-heap holds the ranks of offenders.  Because
+degrees never rise, a subset that becomes an offender stays one until its
+degree reaches zero, and it enters the heap once, when it first falls
+below its floor.  So the smallest rank in the heap whose degree is not yet
+zero is exactly the first offender the restarted scan would find, and
+popping it (dropping ranks whose degree has reached zero) deletes the same
+subsets in the same order.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvariantViolationError
@@ -43,6 +58,8 @@ class FullnessSpec:
                     raise ValueError(f"subset {e} has the wrong size")
                 if tuple(sorted(e)) != e or len(set(e)) != len(e):
                     raise ValueError(f"subset {e} must be sorted and distinct")
+                if e[0] < 0:
+                    raise ValueError(f"subset {e} has a negative vertex")
                 if e in seen:
                     raise ValueError(f"subset {e} appears in two groups")
                 seen.add(e)
@@ -70,53 +87,53 @@ class FullnessResult:
     lower_bound: int
 
 
-def _contains(edge: tuple[int, int, int], subset: tuple[int, ...]) -> bool:
-    if len(subset) == 1:
-        return subset[0] in edge
-    return subset[0] in edge and subset[1] in edge
+def _subsets(t: tuple[int, int, int], size: int) -> tuple[tuple[int, ...], ...]:
+    """The three vertices (size 1) or the three pairs (size 2) of a triple."""
+    a, b, c = t
+    return ((a,), (b,), (c,)) if size == 1 else ((a, b), (a, c), (b, c))
 
 
 def is_full(h: ThreeGraph, spec: FullnessSpec) -> bool:
-    for g in spec.groups:
-        for e in g.elements:
-            d = sum(1 for t in h.edges if _contains(t, e))
-            if 0 < d < g.floor:
-                return False
-    return True
+    deg = Counter(s for t in h.edges for s in _subsets(t, spec.subset_size))
+    return not any(0 < deg[e] < g.floor for g in spec.groups for e in g.elements)
 
 
 def extract_full(h: ThreeGraph, spec: FullnessSpec) -> FullnessResult:
-    """Run the scan-and-restart deletion until the spec is satisfied."""
+    """Delete offenders in the order of the scan-and-restart definition."""
     for g in spec.groups:
         for e in g.elements:
-            if e and e[-1] >= h.n:
+            if e[-1] >= h.n:
                 raise ValueError(f"subset {e} outside the vertex range")
-    alive = set(h.edges)
-    deg: dict[tuple[int, ...], int] = {}
-    for g in spec.groups:
-        for e in g.elements:
-            deg[e] = sum(1 for t in alive if _contains(t, e))
+    size = spec.subset_size
+    order = [(gi, e, g.floor) for gi, g in enumerate(spec.groups) for e in g.elements]
+    rank = {e: r for r, (_, e, _) in enumerate(order)}
+    holders: dict[tuple[int, ...], set] = {e: set() for e in rank}
+    for t in h.edges:
+        for s in _subsets(t, size):
+            if s in holders:
+                holders[s].add(t)
+    # ascending ranks already form a heap
+    heap = [r for r, (_, e, floor) in enumerate(order) if 0 < len(holders[e]) < floor]
 
+    alive = set(h.edges)
     deleted_elements = []
     deleted_edges = 0
-    changed = True
-    while changed:
-        changed = False
-        for gi, g in enumerate(spec.groups):
-            for e in g.elements:
-                if 0 < deg[e] < g.floor:
-                    doomed = [t for t in alive if _contains(t, e)]
-                    for t in doomed:
-                        alive.remove(t)
-                        for e2 in deg:
-                            if _contains(t, e2):
-                                deg[e2] -= 1
-                    deleted_elements.append((gi, e))
-                    deleted_edges += len(doomed)
-                    changed = True
-                    break
-            if changed:
-                break
+    while heap:
+        gi, e, _ = order[heapq.heappop(heap)]
+        doomed = holders[e]
+        if not doomed:
+            continue
+        deleted_elements.append((gi, e))
+        deleted_edges += len(doomed)
+        for t in list(doomed):
+            alive.remove(t)
+            for s in _subsets(t, size):
+                held = holders.get(s)
+                if held is not None:
+                    held.remove(t)
+                    r = rank[s]
+                    if 0 < len(held) == order[r][2] - 1:
+                        heapq.heappush(heap, r)
 
     result = ThreeGraph(h.n, sorted(alive))
     if not is_full(result, spec):

@@ -89,6 +89,10 @@ def test_spec_validation():
         )
     with pytest.raises(ValueError):
         FullnessSpec((FullnessGroup(((0, 1),), 2),), 3)
+    with pytest.raises(ValueError, match=r"\(-1,\)"):
+        FullnessSpec((FullnessGroup(((-1,), (0,)), 2),), 1)
+    with pytest.raises(ValueError, match=r"\(-2, 3\)"):
+        FullnessSpec((FullnessGroup(((-2, 3),), 2),), 2)
     with pytest.raises(ValueError):
         extract_full(ThreeGraph(3, []), vertex_spec(5, 2))
 
