@@ -534,8 +534,14 @@ class ThreeGraphHost(GraphHost):
             host, triples = cls(h.n), h.edges
         else:
             host, triples = cls(h.m, h.n), [(u, v, h.m + w) for u, v, w in h.edges]
-        for t in triples:
-            host.add(t)
+        link, adj = host.pair_link, host.adj
+        for a, b, c in triples:
+            link[a, b] = link.get((a, b), 0) | 1 << c
+            link[a, c] = link.get((a, c), 0) | 1 << b
+            link[b, c] = link.get((b, c), 0) | 1 << a
+        for x, y in link:
+            adj[x] |= 1 << y
+            adj[y] |= 1 << x
         return host
 
     def add(self, t: tuple[int, int, int]) -> None:

@@ -100,12 +100,26 @@ class SolveResult:
 
 def _edge_hits(host: GraphHost, specs) -> Callable[[tuple[int, int]], bool]:
     """The engine's test at rank 2: does an added edge complete some copy?"""
-    return lambda e: any(pattern_through_edge(host, s, e[0], e[1]) for s in specs)
+
+    def hits(e):
+        for s in specs:
+            if pattern_through_edge(host, s, e[0], e[1]):
+                return True
+        return False
+
+    return hits
 
 
 def _triple_hits(host: ThreeGraphHost, specs) -> Callable[[tuple[int, int, int]], bool]:
     """The engine's test at rank 3: does an added triple complete some copy?"""
-    return lambda t: any(expansion_through_triple(host, s, t) for s in specs)
+
+    def hits(t):
+        for s in specs:
+            if expansion_through_triple(host, s, t):
+                return True
+        return False
+
+    return hits
 
 
 def _branch_and_bound(
