@@ -132,6 +132,7 @@ def extract_full(h: ThreeGraph, spec: FullnessSpec) -> FullnessResult:
                 if held is not None:
                     held.remove(t)
                     r = rank[s]
+                    # pushed once: when the degree first falls below the floor
                     if 0 < len(held) == order[r][2] - 1:
                         heapq.heappush(heap, r)
 
