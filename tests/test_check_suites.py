@@ -26,6 +26,7 @@ GOLDEN_CASES = (
     ({"suite": "pg-properties", "q": 3, "s": 2}, 0),
     ({"suite": "pg-properties", "q": 3, "s": 3}, 0),
     ({"suite": "norm-map", "q": 3, "s": 3}, 0),
+    ({"suite": "composed", "p": 2, "s1": 3, "s2": 3}, 0),
     ({"suite": "ratio-count", "q": 3, "s": 3}, 0),
     ({"suite": "fullness", "n": 8, "count": 10}, 1),
     ({"suite": "greedy-extend", "n": 8, "count": 10}, 1),
