@@ -54,6 +54,8 @@ def suite_pg_properties(q: int, s: int) -> tuple[int, dict]:
 
 
 def suite_norm_map(q: int, s: int) -> tuple[int, dict]:
+    if s < 2:
+        raise ValueError("need s >= 2")
     p, k = prime_power_decompose(q)
     if make_field(p, k * (s - 1)).order > 512:
         raise ValueError("full multiplicativity enumeration is capped at order 512")
@@ -127,6 +129,8 @@ def suite_ratio_count(q: int, s: int) -> tuple[int, dict]:
     vertex counted below the floor are therefore the q-2 others sharing its
     first coordinate; any more is a violation.
     """
+    if s < 3:
+        raise ValueError("ratio counts need s >= 3")
     p, k = prime_power_decompose(q)
     big = field_tables(p, k * (s - 1))
     sub = field_tables(p, k)

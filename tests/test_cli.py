@@ -174,6 +174,23 @@ class TestCheck:
         assert status["error"] == f"{flag} must be non-negative, got -5"
 
 
+    @pytest.mark.parametrize(
+        "suite, s, error",
+        [
+            ("norm-map", "1", "need s >= 2"),
+            ("norm-map", "-2", "need s >= 2"),
+            ("ratio-count", "2", "ratio counts need s >= 3"),
+            ("ratio-count", "1", "ratio counts need s >= 3"),
+            ("ratio-count", "0", "ratio counts need s >= 3"),
+        ],
+    )
+    def test_small_s_names_s(self, capsys, suite, s, error):
+        assert main(["check", suite, "--q", "3", "--s", s]) == 2
+        status = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert status["exit"] == 2 and status["status"] == "error"
+        assert status["error"] == error
+
+
 class TestScanAndReport:
     def test_scan_csv(self, tmp_path):
         out = tmp_path / "scan.csv"
