@@ -21,7 +21,7 @@ ascending s-subset enumeration with running common-neighborhood intersection
 next s-side vertex from a candidate mask: the rows adjacent to t members of
 the running intersection, counted from a reverse adjacency (column -> rows)
 built once per call.  The solver's anchored per-edge checks, whose pool is
-one neighbourhood, scan their few candidates instead.  All other cores go
+one neighborhood, scan their few candidates instead.  All other cores go
 through a most-constrained-first backtracking embedder.  Expansion
 copies are decided per core embedding by maximum bipartite matching between
 core edges and eligible apexes.
@@ -336,7 +336,7 @@ def iter_kst(
     column to the mask of rows adjacent to it.  At each level the members x
     of the running intersection are folded over it into saturating counters,
     "adjacent to >= 1, >= 2, ..., >= t of them"; the top counter is exactly
-    the set of rows that keep t common neighbours, and only its bits after
+    the set of rows that keep t common neighbors, and only its bits after
     the last chosen vertex are visited.  A deeper vertex needs t members of a
     smaller intersection, so what is left of the mask is the next level's
     candidate set.
@@ -346,11 +346,11 @@ def iter_kst(
     ascend.  The t-side candidates then start as N(ha) & right_mask minus hb,
     the s-side candidates are N(hb) & left_mask minus ha, and the running
     intersection must keep t - 1 members.  These are the solver's per-edge
-    checks, whose pool is one vertex's neighbourhood: each candidate is still
+    checks, whose pool is one vertex's neighborhood: each candidate is still
     tested with one & and one bit_count, because a reverse adjacency built
-    per call costs more than that scan saves (ex(8, C4) ran 10-20% slower
-    with the counters).  Common neighborhoods never meet the chosen s-set
-    (no self-adjacency), so disjointness is automatic.
+    per call costs more than that scan saves (with the counters there,
+    ex(8, C4) ran about 1.5x as long).  Common neighborhoods never meet the
+    chosen s-set (no self-adjacency), so disjointness is automatic.
     """
     if anchor is None:
         yield from _iter_kst_whole_host(adj, s, t, left_mask, right_mask)
@@ -378,7 +378,9 @@ def iter_kst(
     yield from rec(0, (ha,), inter)
 
 
-def _iter_kst_whole_host(adj, s: int, t: int, left_mask: int, right_mask: int):
+def _iter_kst_whole_host(
+    adj, s: int, t: int, left_mask: int, right_mask: int
+) -> Iterator[tuple[tuple, tuple]]:
     rows = [(v, adj[v] & right_mask) for v in iter_bits(left_mask)]
     rows = [(v, row) for v, row in rows if row.bit_count() >= t]
     # The counters are lanes of one integer, w bits each: lane k holds the

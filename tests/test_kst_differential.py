@@ -1,7 +1,7 @@
 """`iter_kst` against a brute-force enumeration of K{s,t} copies.
 
 The reference lists, for every s-subset of the left candidates in
-lexicographic order, every t-subset of their common neighbourhood in
+lexicographic order, every t-subset of their common neighborhood in
 lexicographic order, testing each adjacency bit on its own.  Every yield of
 `iter_kst` is compared, in order, not only the first copy: the whole-host
 mode on one-sided row masks (rows and columns are different vertex sets,
