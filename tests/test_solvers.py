@@ -458,7 +458,7 @@ def test_regression_table_recompute():
     # heavy rows (8-vertex ex, 4x4 zexp) are re-derived by the acceptance
     # suite; everything else is recomputed here
     rows = load_rows()
-    assert len(rows) == 23
+    assert len(rows) == 24
     checked = 0
     for row in rows:
         params = decode(row["params"])
