@@ -15,34 +15,33 @@ the host's edges put them.
 Vertex labels in witnesses are combined host labels: for bipartite and
 semibipartite hosts the right part is shifted by the left part size.
 
-Search strategy: complete bipartite cores K_{s,t} go through `iter_kst`, an
-ascending s-subset enumeration with running common-neighborhood intersection
-(also the K_{s,t} finder of the check suites).  On a whole host it draws each
-next s-side vertex from a candidate mask: the rows adjacent to t members of
-the running intersection, counted from a reverse adjacency (column -> rows)
-built once per call.  The solver's anchored per-edge checks, whose pool is
-one neighborhood, scan their few candidates instead.  All other cores go
-through a most-constrained-first backtracking embedder.  Expansion
-copies are decided per core embedding by maximum bipartite matching between
-core edges and eligible apexes.
-
-The embedder's placement plan (order, already-placed neighbors and core
+Search strategy: on a whole host, complete bipartite cores K_{s,t} go
+through `iter_kst` (also the K_{s,t} finder of the check suites), an
+ascending s-subset enumeration with a running common-neighborhood
+intersection that draws each next s-side vertex from the rows adjacent to t
+of its members, counted from a reverse adjacency (column -> rows) built once
+per call.  All other cores go through a most-constrained-first backtracking
+embedder, whose placement plan (order, already-placed neighbors and core
 degree of each free vertex) depends only on the core and its anchored
-vertices, so it is compiled once and cached; each search then reads host
-degrees straight from the adjacency bitmasks.
+vertices, so it is compiled once and cached.  Expansion copies are decided
+per core embedding by maximum bipartite matching between core edges and
+eligible apexes.
 
 Host state lives here too: `GraphHost` holds adjacency bitmasks and part
 masks, and `ThreeGraphHost` adds pair links (pair -> bitmask of third
-vertices) over a shadow it keeps in step with every added or removed triple,
-so no search rebuilds the shadow.  The solvers grow a host edge by edge; the
-finders copy a static one.  The solver-facing checks `pattern_through_edge`
-and `expansion_through_triple` take a host that already holds the new edge
-(or triple) and ask whether it completes a copy.  For a complete core they
-anchor the new pair (ha, hb) as one core edge and run the same K_{s,t} search
-seeded with it: t-side candidates N(ha) minus hb, s-side candidates N(hb)
-minus ha, and a running intersection that must keep t - 1 members.  For C4
-through uv this is the test "N(u) minus v meets N(x) for some x in N(v) minus
-u".  Other cores anchor each core edge in turn and follow the cached plan.
+vertices) over a shadow it keeps in step with every added or removed triple.
+The solvers grow a host edge by edge; the finders copy a static one.  The
+solver-facing checks `pattern_through_edge` and `expansion_through_triple`
+ask whether the edge (or triple) just added completes a copy.  For a
+complete core both run the one anchored search, `kst_through`, with the new
+pair (ha, hb) as a core edge: t-side candidates N(ha) minus hb, an s-side
+pool N(hb) minus ha, and a running intersection that must keep t - 1
+members.  For C4 through uv this is the test "N(u) minus v meets N(x) for
+some x in N(v) minus u".  It returns at the first copy that an accept
+callback takes (at rank 3, the forced apex match), and it recurses by plain
+calls, not as a generator: one check runs per added edge, and generator
+frames cost more than the search.  Other cores anchor each core edge in
+turn and follow the cached plan.
 """
 
 from __future__ import annotations
@@ -315,14 +314,7 @@ def expand(f: Graph | BipartiteGraph) -> ExpandedGraph:
 # -- low-level search engines --
 
 
-def iter_kst(
-    adj,
-    s: int,
-    t: int,
-    left_mask: int,
-    right_mask: int,
-    anchor: tuple[int, int] | None = None,
-) -> Iterator[tuple[tuple, tuple]]:
+def iter_kst(adj, s: int, t: int, left_mask: int, right_mask: int) -> Iterator[tuple[tuple, tuple]]:
     """Ascending s-subsets of left_mask whose common neighborhood inside
     right_mask has size >= t, paired with every t-subset of that neighborhood.
 
@@ -331,56 +323,16 @@ def iter_kst(
     the columns that count.  Copies come in lexicographic order of the
     s-side, then of the t-side.
 
-    Whole host (no anchor): the next s-side vertex comes from a candidate
-    mask.  A reverse adjacency, built once per call in O(edges), maps each
-    column to the mask of rows adjacent to it.  At each level the members x
-    of the running intersection are folded over it into saturating counters,
-    "adjacent to >= 1, >= 2, ..., >= t of them"; the top counter is exactly
-    the set of rows that keep t common neighbors, and only its bits after
-    the last chosen vertex are visited.  A deeper vertex needs t members of a
-    smaller intersection, so what is left of the mask is the next level's
-    candidate set.
-
-    With anchor = (ha, hb) only copies with ha on the s-side and hb on the
-    t-side are listed: ha and hb lead their sides and the other members
-    ascend.  The t-side candidates then start as N(ha) & right_mask minus hb,
-    the s-side candidates are N(hb) & left_mask minus ha, and the running
-    intersection must keep t - 1 members.  These are the solver's per-edge
-    checks, whose pool is one vertex's neighborhood: each candidate is still
-    tested with one & and one bit_count, because a reverse adjacency built
-    per call costs more than that scan saves (with the counters there,
-    ex(8, C4) ran about 1.5x as long).  Common neighborhoods never meet the
-    chosen s-set (no self-adjacency), so disjointness is automatic.
+    The next s-side vertex comes from a candidate mask.  A reverse
+    adjacency, built once per call in O(edges), maps each column to the mask
+    of rows adjacent to it.  At each level the members x of the running
+    intersection are folded over it into saturating counters, "adjacent to
+    >= 1, >= 2, ..., >= t of them"; the top counter is exactly the set of
+    rows that keep t common neighbors, and only its bits after the last
+    chosen vertex are visited.  A deeper vertex needs t members of a smaller
+    intersection, so what is left of the mask is the next level's candidate
+    set.  Copies through one given edge are `kst_through`'s job.
     """
-    if anchor is None:
-        yield from _iter_kst_whole_host(adj, s, t, left_mask, right_mask)
-        return
-    ha, hb = anchor
-    lead = (hb,)
-    inter = adj[ha] & right_mask & ~(1 << hb)
-    pool = adj[hb] & left_mask & ~(1 << ha)
-    need = t - 1
-    if inter.bit_count() < need:
-        return
-    left = [v for v in iter_bits(pool) if adj[v].bit_count() >= t]
-
-    def rec(start: int, chosen: tuple, inter: int):
-        if len(chosen) == s:
-            for b in combinations(iter_bits(inter), need):
-                yield chosen, lead + b
-            return
-        for pos in range(start, len(left)):
-            v = left[pos]
-            ninter = inter & adj[v]
-            if ninter.bit_count() >= need:
-                yield from rec(pos + 1, chosen + (v,), ninter)
-
-    yield from rec(0, (ha,), inter)
-
-
-def _iter_kst_whole_host(
-    adj, s: int, t: int, left_mask: int, right_mask: int
-) -> Iterator[tuple[tuple, tuple]]:
     rows = [(v, adj[v] & right_mask) for v in iter_bits(left_mask)]
     rows = [(v, row) for v, row in rows if row.bit_count() >= t]
     # The counters are lanes of one integer, w bits each: lane k holds the
@@ -419,6 +371,44 @@ def _iter_kst_whole_host(
             yield from rec(chosen + (v,), inter & adj[v], cand)
 
     yield from rec((), right_mask, first)
+
+
+def kst_through(adj, s: int, t: int, left_mask: int, right_mask: int, anchor, accept=None) -> bool:
+    """Does accept(s_side, t_side) take some K{s,t} copy with the edge
+    anchor = (ha, hb) on it, ha leading the s-side and hb the t-side?
+
+    The caller sees that ha and hb are adjacent.  Copies are offered in the
+    order `iter_kst` lists them, and the search returns at the first one
+    taken; without accept, any copy is a hit.  Common neighborhoods never
+    meet the chosen s-set (no self-adjacency), so the sides are disjoint.
+    """
+    ha, hb = anchor
+    inter = adj[ha] & right_mask & ~(1 << hb)
+    if inter.bit_count() < t - 1:
+        return False
+    pool = adj[hb] & left_mask & ~(1 << ha)
+    return _kst_through_from(adj, s - 1, t - 1, pool, inter, (ha,), (hb,), accept)
+
+
+def _kst_through_from(adj, more: int, need: int, pool: int, inter: int, chosen, lead, accept) -> bool:
+    """`kst_through` past its anchor: add `more` pool members in ascending
+    order, each keeping `need` members of the running intersection."""
+    if not more:
+        if accept is None:
+            return True
+        for rest in combinations(iter_bits(inter), need):
+            if accept(chosen, lead + rest):
+                return True
+        return False
+    while pool:
+        low = pool & -pool
+        pool ^= low
+        v = low.bit_length() - 1
+        ninter = inter & adj[v]
+        if ninter.bit_count() >= need:
+            if _kst_through_from(adj, more - 1, need, pool, ninter, chosen + (v,), lead, accept):
+                return True
+    return False
 
 
 @lru_cache(maxsize=256)
@@ -769,6 +759,25 @@ def iter_graph_embeddings(g: Graph, spec: PatternSpec) -> Iterator[tuple[int, ..
 # -- solver-facing incremental checks (the host already holds the new edge) --
 
 
+def _kst_through_pair(spec: PatternSpec, adj, left_mask, right_mask, pair, avoid=0, accept=None) -> bool:
+    """`kst_through` for a complete core K{s,t} with core edge 0 (every edge
+    of K{s,t} is alike) on the host pair, in each orientation and direction
+    the placement allows; host vertices in the avoid mask stay unused."""
+    s, t = spec.core.m, spec.core.n
+    u, v = pair
+    for flip in _orientations_for(spec, left_mask, right_mask):
+        lm, rm = (right_mask, left_mask) if flip else (left_mask, right_mask)
+        lm &= ~avoid
+        rm &= ~avoid
+        # with equal sides and masks, a copy with v on the s-side is the
+        # same vertex set as one with u there: one direction suffices
+        for ha, hb in ((u, v),) if s == t and lm == rm else ((u, v), (v, u)):
+            if lm >> ha & 1 and rm >> hb & 1 and adj[ha] >> hb & 1:
+                if kst_through(adj, s, t, lm, rm, (ha, hb), accept):
+                    return True
+    return False
+
+
 def _iter_through_pair(
     spec: PatternSpec,
     adj,
@@ -777,30 +786,16 @@ def _iter_through_pair(
     pair: tuple[int, int],
     avoid: int = 0,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Core embeddings that put some core edge on the host pair, as
-    (core edge index, embedding); host vertices in the avoid mask stay unused.
-
-    A complete core K{s,t} anchors core edge 0 only (every edge of it is
-    alike) and runs the anchored K{s,t} search, one embedding per vertex
-    set.  Any other core anchors each edge in turn and follows its cached
-    embedding plan.
-    """
+    """Embeddings of a core that is not complete bipartite with some core
+    edge on the host pair, as (core edge index, embedding), avoiding the
+    avoid mask; each core edge is anchored in turn and follows its plan."""
     core = spec.core
     u, v = pair
+    combined_edges = _combined_edges(core)
     for flip in _orientations_for(spec, left_mask, right_mask):
         lm, rm = (right_mask, left_mask) if flip else (left_mask, right_mask)
         lm &= ~avoid
         rm &= ~avoid
-        if spec.is_complete:
-            # with equal sides and masks, a copy with v on the s-side is the
-            # same vertex set as one with u there: one direction suffices
-            directions = ((u, v),) if core.m == core.n and lm == rm else ((u, v), (v, u))
-            for ha, hb in directions:
-                if lm >> ha & 1 and rm >> hb & 1 and adj[ha] >> hb & 1:
-                    for s_side, t_side in iter_kst(adj, core.m, core.n, lm, rm, (ha, hb)):
-                        yield 0, s_side + t_side
-            continue
-        combined_edges = _combined_edges(core)
         allowed = [lm] * core.m + [rm] * core.n
         for ei, (a, b) in enumerate(combined_edges):
             for ha, hb in ((u, v), (v, u)):
@@ -813,9 +808,9 @@ def _iter_through_pair(
 
 def pattern_through_edge(host: GraphHost, spec: PatternSpec, u: int, v: int) -> bool:
     """Does some copy of the pattern use host edge (u, v)?  The host holds it."""
-    for _ in _iter_through_pair(spec, host.adj, host.left_mask, host.right_mask, (u, v)):
-        return True
-    return False
+    if spec.is_complete:
+        return _kst_through_pair(spec, host.adj, host.left_mask, host.right_mask, (u, v))
+    return next(_iter_through_pair(spec, host.adj, host.left_mask, host.right_mask, (u, v)), None) is not None
 
 
 def expansion_through_triple(
@@ -834,6 +829,12 @@ def expansion_through_triple(
     combined_edges = _combined_edges(spec.core)
     a, b, c = triple
     for pair, apex in (((a, b), c), ((a, c), b), ((b, c), a)):
+        if spec.is_complete:  # a K{s,t} copy puts the apex on core edge 0
+            def apex_match(s_side, t_side):
+                return _try_apex_match(s_side + t_side, combined_edges, pair_link, forced=(0, apex))
+            if _kst_through_pair(spec, adj, lm, rm, pair, 1 << apex, apex_match):
+                return True
+            continue
         for ei, emb in _iter_through_pair(spec, adj, lm, rm, pair, 1 << apex):
             if _try_apex_match(emb, combined_edges, pair_link, forced=(ei, apex)):
                 return True

@@ -34,10 +34,9 @@ edge set among the hosts the symmetry-reduced search visits.  Every witness
 is re-verified against the full pattern finders before being returned.
 
 Rule (i) is the hot path: one `pattern_through_edge` or
-`expansion_through_triple` call per included edge.  Those calls reuse a
-placement plan compiled once per pattern core, and complete bipartite cores
-(C4 among them) are tested with bitset intersections anchored at the new
-edge; see `turanlab.patterns`.
+`expansion_through_triple` call per included edge, which for a complete
+bipartite core (C4 among them) is one early-exit bitset search anchored at
+the new edge, `patterns.kst_through`; other cores follow a cached plan.
 
 ``eval_bound`` evaluates the closed-form upper bounds that accompany the
 solvers with high-precision arithmetic (mpmath) and records which formula

@@ -1,12 +1,15 @@
-"""`iter_kst` against a brute-force enumeration of K{s,t} copies.
+"""The K{s,t} searches against a brute-force enumeration of their copies.
 
 The reference lists, for every s-subset of the left candidates in
 lexicographic order, every t-subset of their common neighborhood in
 lexicographic order, testing each adjacency bit on its own.  Every yield of
-`iter_kst` is compared, in order, not only the first copy: the whole-host
-mode on one-sided row masks (rows and columns are different vertex sets,
-the contract of the check suites' cross layers) and on symmetric graphs,
-and the anchored mode of the solver's per-edge checks on symmetric graphs.
+`iter_kst` is compared, in order, not only the first copy: on one-sided row
+masks (rows and columns are different vertex sets, the contract of the
+check suites' cross layers) and on symmetric graphs.  The anchored search
+of the solver's per-edge checks, `kst_through`, is compared the same way
+through an accept test that records each copy it is offered, on symmetric
+graphs and on bipartite hosts with one part mask per side; a second test
+checks that it stops at the first copy accept takes.
 """
 
 import itertools
@@ -15,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from turanlab.hypergraph import Graph
-from turanlab.patterns import iter_kst
+from turanlab.patterns import iter_kst, kst_through
 
 
 def _settings(examples):
@@ -104,16 +107,26 @@ def _anchored_cases(draw):
     g = _graph(draw, min_n=2, plant=[(0, 1)])
     # relabel so that the anchor is a random edge, not always the pair {0, 1}
     perm = draw(st.permutations(range(g.n)))
-    g = Graph(g.n, [tuple(sorted((perm[a], perm[b]))) for a, b in g.edges])
+    edges = [tuple(sorted((perm[a], perm[b]))) for a, b in g.edges]
     ha, hb = perm[ha], perm[hb]
-    s = draw(st.integers(1, 3))
-    t = draw(st.integers(1, 4))
-    left_mask, right_mask = _mask(draw, g.n), _mask(draw, g.n)
-    if draw(st.booleans()):
-        # as the solver calls it: the anchor lies inside its part masks
-        left_mask |= 1 << ha
-        right_mask |= 1 << hb
-    return list(g.adj), s, t, left_mask, right_mask, (ha, hb)
+    shape = draw(st.sampled_from(("K{s,t}", "K{1,t}", "K{s,1}")))
+    s = 1 if shape == "K{1,t}" else draw(st.integers(1 if shape == "K{s,1}" else 2, 3))
+    t = 1 if shape == "K{s,1}" else draw(st.integers(1 if shape == "K{1,t}" else 2, 4))
+    masks = draw(st.sampled_from(("random", "anchor-inside", "parts")))
+    if masks == "parts":
+        # a bipartite host as the ordered placement sees it: ha's part is
+        # the left mask, hb's part the right one, and no edge inside a part
+        left_mask = draw(st.integers(0, (1 << g.n) - 1)) | 1 << ha
+        left_mask &= ~(1 << hb)
+        right_mask = ((1 << g.n) - 1) & ~left_mask
+        edges = [(a, b) for a, b in edges if (left_mask >> a & 1) != (left_mask >> b & 1)]
+    else:
+        left_mask, right_mask = _mask(draw, g.n), _mask(draw, g.n)
+        if masks == "anchor-inside":
+            # as the solver calls it: the anchor lies inside its part masks
+            left_mask |= 1 << ha
+            right_mask |= 1 << hb
+    return list(Graph(g.n, edges).adj), s, t, left_mask, right_mask, (ha, hb)
 
 
 @_settings(400)
@@ -132,9 +145,32 @@ def test_whole_host_kst_on_graphs_matches_reference(case):
     assert got == list(_reference_kst(adj, s, t, left_mask, right_mask))
 
 
-@_settings(300)
+def _offered(adj, s, t, left_mask, right_mask, anchor, take_at=None):
+    """kst_through's result and every copy it offers to accept, in order;
+    accept takes the take_at-th copy (1-based) and no other."""
+    offered = []
+
+    def accept(s_side, t_side):
+        offered.append((s_side, t_side))
+        return len(offered) == take_at
+
+    return kst_through(adj, s, t, left_mask, right_mask, anchor, accept), offered
+
+
+@_settings(400)
 @given(_anchored_cases())
 def test_anchored_kst_on_graphs_matches_reference(case):
     adj, s, t, left_mask, right_mask, (ha, hb) = case
-    got = list(iter_kst(adj, s, t, left_mask, right_mask, (ha, hb)))
-    assert got == list(_reference_kst_through(adj, s, t, left_mask, right_mask, ha, hb))
+    want = list(_reference_kst_through(adj, s, t, left_mask, right_mask, ha, hb))
+    assert _offered(adj, s, t, left_mask, right_mask, (ha, hb)) == (False, want)
+    assert kst_through(adj, s, t, left_mask, right_mask, (ha, hb)) == bool(want)
+
+
+@_settings(200)
+@given(_anchored_cases(), st.integers(1, 6))
+def test_anchored_kst_stops_at_the_accepted_copy(case, k):
+    adj, s, t, left_mask, right_mask, (ha, hb) = case
+    want = list(_reference_kst_through(adj, s, t, left_mask, right_mask, ha, hb))
+    hit, offered = _offered(adj, s, t, left_mask, right_mask, (ha, hb), take_at=k)
+    assert hit == (k <= len(want))
+    assert offered == want[:k]
