@@ -29,19 +29,19 @@ eligible apexes.
 
 Host state lives here too: `GraphHost` holds adjacency bitmasks and part
 masks, and `ThreeGraphHost` adds pair links (pair -> bitmask of third
-vertices) over a shadow it keeps in step with every added or removed triple.
-The solvers grow a host edge by edge; the finders copy a static one.  The
-solver-facing checks `pattern_through_edge` and `expansion_through_triple`
-ask whether the edge (or triple) just added completes a copy.  For a
-complete core both run the one anchored search, `kst_through`, with the new
-pair (ha, hb) as a core edge: t-side candidates N(ha) minus hb, an s-side
-pool N(hb) minus ha, and a running intersection that must keep t - 1
-members.  For C4 through uv this is the test "N(u) minus v meets N(x) for
-some x in N(v) minus u".  It returns at the first copy that an accept
-callback takes (at rank 3, the forced apex match), and it recurses by plain
-calls, not as a generator: one check runs per added edge, and generator
-frames cost more than the search.  Other cores anchor each core edge in
-turn and follow the cached plan.
+vertices) over a shadow it keeps in step with every added or removed triple,
+so no search rebuilds the shadow.  The solvers grow a host edge by edge; the
+finders copy a static one.  The solver-facing checks `pattern_through_edge`
+and `expansion_through_triple` ask whether the edge (or triple) just added
+completes a copy.  For a complete core both run the one anchored search,
+`kst_through`, with the new pair (ha, hb) as a core edge: t-side candidates
+N(ha) minus hb, an s-side pool N(hb) minus ha, and a running intersection
+that must keep t - 1 members.  For C4 through uv this is the test "N(u)
+minus v meets N(x) for some x in N(v) minus u".  It returns at the first
+copy that an accept callback takes (at rank 3, the forced apex match), and
+it recurses by plain calls, not as a generator: one check runs per added
+edge, and generator frames cost more than the search.  Other cores anchor
+each core edge in turn and follow the cached plan.
 """
 
 from __future__ import annotations
@@ -377,10 +377,10 @@ def kst_through(adj, s: int, t: int, left_mask: int, right_mask: int, anchor, ac
     """Does accept(s_side, t_side) take some K{s,t} copy with the edge
     anchor = (ha, hb) on it, ha leading the s-side and hb the t-side?
 
-    The caller sees that ha and hb are adjacent.  Copies are offered in the
-    order `iter_kst` lists them, and the search returns at the first one
-    taken; without accept, any copy is a hit.  Common neighborhoods never
-    meet the chosen s-set (no self-adjacency), so the sides are disjoint.
+    The caller sees that ha and hb are adjacent.  Copies are offered in
+    lexicographic order of the s-side, then of the t-side, each side led by
+    its anchor; the first one taken ends the search, and without accept any
+    copy is a hit.  The sides are disjoint: no vertex is its own neighbor.
     """
     ha, hb = anchor
     inter = adj[ha] & right_mask & ~(1 << hb)

@@ -7,9 +7,9 @@ lexicographic order, testing each adjacency bit on its own.  Every yield of
 masks (rows and columns are different vertex sets, the contract of the
 check suites' cross layers) and on symmetric graphs.  The anchored search
 of the solver's per-edge checks, `kst_through`, is compared the same way
-through an accept test that records each copy it is offered, on symmetric
-graphs and on bipartite hosts with one part mask per side; a second test
-checks that it stops at the first copy accept takes.
+through an accept test that records each copy it is offered, for K{s,t},
+K{1,t} and K{s,1}, on symmetric graphs and on bipartite hosts with one part
+mask per side; a second test checks that it stops at the copy accept takes.
 """
 
 import itertools
@@ -110,8 +110,12 @@ def _anchored_cases(draw):
     edges = [tuple(sorted((perm[a], perm[b]))) for a, b in g.edges]
     ha, hb = perm[ha], perm[hb]
     shape = draw(st.sampled_from(("K{s,t}", "K{1,t}", "K{s,1}")))
-    s = 1 if shape == "K{1,t}" else draw(st.integers(1 if shape == "K{s,1}" else 2, 3))
-    t = 1 if shape == "K{s,1}" else draw(st.integers(1 if shape == "K{1,t}" else 2, 4))
+    if shape == "K{1,t}":
+        s, t = 1, draw(st.integers(1, 4))
+    elif shape == "K{s,1}":
+        s, t = draw(st.integers(1, 3)), 1
+    else:
+        s, t = draw(st.integers(2, 3)), draw(st.integers(2, 4))
     masks = draw(st.sampled_from(("random", "anchor-inside", "parts")))
     if masks == "parts":
         # a bipartite host as the ordered placement sees it: ha's part is
