@@ -287,6 +287,24 @@ def test_semibipartite_placements_frozen():
     assert find_expansion(host, complete_bipartite(1, 2, True, "ordered")) is None
 
 
+def test_bipartite_witness_rejects_an_edge_inside_one_part():
+    host = BipartiteGraph(2, 2, [(u, w) for u in range(2) for w in range(2)])
+    spec = complete_bipartite(1, 1)
+    assert verify_bipartite_witness(host, spec, EmbeddingWitness((0, 2)))
+    assert verify_bipartite_witness(host, spec, EmbeddingWitness((3, 1)))
+    assert not verify_bipartite_witness(host, spec, EmbeddingWitness((0, 1)))
+    assert not verify_bipartite_witness(host, spec, EmbeddingWitness((2, 3)))
+
+
+def test_ordered_expansion_witness_rejects_the_wrong_side():
+    host = SemibipartiteThreeGraph(2, 1, [(0, 1, 0)])  # the triple (0, 1, 2) combined
+    spec = complete_bipartite(1, 1, True, "ordered")
+    edges = ((0, 1),)
+    assert verify_expansion_witness(host, spec, ExpansionWitness((0, 2), edges, (1,)))
+    assert not verify_expansion_witness(host, spec, ExpansionWitness((2, 0), edges, (1,)))
+    assert verify_expansion_witness(host, spec.with_placement("unordered"), ExpansionWitness((2, 0), edges, (1,)))
+
+
 def test_host_kind_mismatches():
     g = Graph(4, [(0, 1)])
     with pytest.raises(ValueError):

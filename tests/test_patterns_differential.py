@@ -241,6 +241,7 @@ SEMIBIPARTITE_CASES = [
     (complete_bipartite(2, 2, expansion=True), 6, 3),
     (_path4(expansion=True, placement="ordered"), 6, 3),
     (_path4(expansion=True, placement="core-in-V1"), 6, 3),
+    (_path4(expansion=True), 6, 3),
 ]
 
 
