@@ -214,7 +214,7 @@ def random_deletion_lower_bound(n: int, spec: PatternSpec, seed: int = 0) -> Del
     e = core.edge_count
     if n < v:
         raise ValueError(f"need n >= {v} host vertices")
-    if e < 2 or e == v - core.component_count():  # forests have e = v - components
+    if core.is_forest():
         raise ValueError("pattern must contain a cycle")
     prob = 0.5 * n ** (-(v - 2) / (e - 1))
     rng = random.Random(seed)

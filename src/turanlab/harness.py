@@ -417,9 +417,7 @@ def removal_ratio(pattern: PatternSpec, v: int, n: int) -> RemovalRatioReport:
     if reduced.core.edge_count == 0:
         raise ValueError("removing that vertex leaves no core edges")
     z_val = z_exact(n, n, reduced).value
-    core = pattern.core
-    forest = core.edge_count == core.m + core.n - core.component_count()
-    flag = "no cycle: asymptotic comparison inapplicable" if forest else None
+    flag = "no cycle: asymptotic comparison inapplicable" if pattern.core.is_forest() else None
     return RemovalRatioReport(
         pattern=pattern.display_name(),
         vertex=v,

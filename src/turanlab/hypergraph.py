@@ -176,6 +176,10 @@ class BipartiteGraph:
             unseen &= ~comp
         return count
 
+    def is_forest(self) -> bool:
+        """No cycle: every component has one edge fewer than vertices."""
+        return self.edge_count == self.m + self.n - self.component_count()
+
     def to_json_dict(self) -> dict:
         return {
             "kind": "bipartite",

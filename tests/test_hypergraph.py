@@ -182,3 +182,13 @@ def test_bipartite_component_count():
     star = BipartiteGraph(1, 3, [(0, 0), (0, 1), (0, 2)])
     assert [g.component_count() for g in (c4, two_k2, star)] == [1, 2, 1]
     assert BipartiteGraph(0, 0, []).component_count() == 0
+
+
+def test_bipartite_is_forest():
+    c4_edges = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    c4 = BipartiteGraph(2, 2, c4_edges)
+    two_k2 = BipartiteGraph(2, 2, [(0, 0), (1, 1)])
+    star = BipartiteGraph(1, 3, [(0, 0), (0, 1), (0, 2)])
+    c4_and_isolated = BipartiteGraph(3, 2, c4_edges)
+    assert [g.is_forest() for g in (c4, two_k2, star, c4_and_isolated)] == [False, True, True, False]
+    assert BipartiteGraph(0, 0, []).is_forest()
