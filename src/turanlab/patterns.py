@@ -33,15 +33,18 @@ vertices) over a shadow it keeps in step with every added or removed triple,
 so no search rebuilds the shadow.  The solvers grow a host edge by edge; the
 finders copy a static one.  The solver-facing checks `pattern_through_edge`
 and `expansion_through_triple` ask whether the edge (or triple) just added
-completes a copy.  For a complete core both run the one anchored search,
-`kst_through`, with the new pair (ha, hb) as a core edge: t-side candidates
-N(ha) minus hb, an s-side pool N(hb) minus ha, and a running intersection
-that must keep t - 1 members.  For C4 through uv this is the test "N(u)
-minus v meets N(x) for some x in N(v) minus u".  It returns at the first
-copy that an accept callback takes (at rank 3, the forced apex match), and
-it recurses by plain calls, not as a generator: one check runs per added
-edge, and generator frames cost more than the search.  Other cores anchor
-each core edge in turn and follow the cached plan.
+completes a copy, and both ask it of one anchored check, `_copy_through_pair`:
+does an accept callback (at rank 3, the apex match forced onto the anchored
+core edge) take some copy with a core edge on the host pair?  It anchors
+core edges on the pair in each orientation and direction the placement
+allows.  A complete core anchors only its edge 0 and runs `kst_through`
+with the pair (ha, hb) as that edge: t-side candidates N(ha) minus hb, an
+s-side pool N(hb) minus ha, and a running intersection that must keep
+t - 1 members.  For C4 through uv this is the test "N(u) minus v meets N(x)
+for some x in N(v) minus u".  `kst_through` returns at the first copy taken
+and recurses by plain calls, not as a generator: one check runs per added
+edge, and generator frames cost more than the search.  Any other core
+anchors each of its edges in turn and follows the cached plan.
 """
 
 from __future__ import annotations
@@ -73,16 +76,15 @@ class PatternSpec:
     expansion: bool = False
     placement: str = "unordered"
     name: str = ""
+    is_complete: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.placement not in PLACEMENTS:
             raise ValueError(f"unknown placement: {self.placement!r}")
         if self.placement == "core-in-V1" and not self.expansion:
             raise ValueError("core-in-V1 placement applies to expansions only")
-
-    @property
-    def is_complete(self) -> bool:
-        return self.core.edge_count == self.core.m * self.core.n
+        # read by every incremental check, so counted once here
+        object.__setattr__(self, "is_complete", self.core.edge_count == self.core.m * self.core.n)
 
     @property
     def vertex_count(self) -> int:
@@ -636,8 +638,7 @@ def _iter_pattern_embeddings(
     right_mask: int,
 ) -> Iterator[tuple[int, ...]]:
     core = spec.core
-    for flip in _orientations_for(spec, left_mask, right_mask):
-        lm, rm = (right_mask, left_mask) if flip else (left_mask, right_mask)
+    for lm, rm in _side_masks(spec, left_mask, right_mask):
         if spec.is_complete:
             for a, b in iter_kst(adj, core.m, core.n, lm, rm):
                 yield a + b
@@ -646,15 +647,18 @@ def _iter_pattern_embeddings(
             yield from _iter_core_embeddings(core.m + core.n, _combined_edges(core), allowed, adj)
 
 
-def _orientations_for(spec: PatternSpec, left_mask: int, right_mask: int) -> tuple[bool, ...]:
-    """Orientation flips to try: both for unordered placement with distinct
+def _side_masks(
+    spec: PatternSpec, left_mask: int, right_mask: int, avoid: int = 0
+) -> tuple[tuple[int, int], ...]:
+    """Host masks (for the core's first part, for its second) to try, less
+    the avoid mask: both orientations for unordered placement with distinct
     part masks (unless the pattern is part-symmetric), one otherwise."""
+    lm, rm = left_mask & ~avoid, right_mask & ~avoid
     if spec.placement != "unordered" or left_mask == right_mask:
-        return (False,)
-    core = spec.core
-    if spec.is_complete and core.m == core.n:
-        return (False,)
-    return (False, True)
+        return ((lm, rm),)
+    if spec.is_complete and spec.core.m == spec.core.n:
+        return ((lm, rm),)
+    return ((lm, rm), (rm, lm))
 
 
 # -- public searches --
@@ -759,58 +763,49 @@ def iter_graph_embeddings(g: Graph, spec: PatternSpec) -> Iterator[tuple[int, ..
 # -- solver-facing incremental checks (the host already holds the new edge) --
 
 
-def _kst_through_pair(spec: PatternSpec, adj, left_mask, right_mask, pair, avoid=0, accept=None) -> bool:
-    """`kst_through` for a complete core K{s,t} with core edge 0 (every edge
-    of K{s,t} is alike) on the host pair, in each orientation and direction
-    the placement allows; host vertices in the avoid mask stay unused."""
-    s, t = spec.core.m, spec.core.n
+def _copy_through_pair(spec: PatternSpec, adj, left_mask, right_mask, pair, avoid=0, accept=None) -> bool:
+    """Does accept(core_map, core edge index) take some copy of the core with
+    a core edge on the host pair?  Without accept any copy counts; host
+    vertices in the avoid mask stay unused.
+
+    The anchored core edges are every edge of a general core, but only edge
+    0 of a complete one (every edge of K{s,t} is alike).  Each is anchored
+    on the pair in each orientation and direction the placement allows:
+    a complete core through `kst_through`, any other through its cached
+    embedding plan.
+    """
     u, v = pair
-    for flip in _orientations_for(spec, left_mask, right_mask):
-        lm, rm = (right_mask, left_mask) if flip else (left_mask, right_mask)
-        lm &= ~avoid
-        rm &= ~avoid
-        # with equal sides and masks, a copy with v on the s-side is the
-        # same vertex set as one with u there: one direction suffices
-        for ha, hb in ((u, v),) if s == t and lm == rm else ((u, v), (v, u)):
-            if lm >> ha & 1 and rm >> hb & 1 and adj[ha] >> hb & 1:
-                if kst_through(adj, s, t, lm, rm, (ha, hb), accept):
-                    return True
-    return False
-
-
-def _iter_through_pair(
-    spec: PatternSpec,
-    adj,
-    left_mask: int,
-    right_mask: int,
-    pair: tuple[int, int],
-    avoid: int = 0,
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Embeddings of a core that is not complete bipartite with some core
-    edge on the host pair, as (core edge index, embedding), avoiding the
-    avoid mask; each core edge is anchored in turn and follows its plan."""
+    if not adj[u] >> v & 1:
+        return False
     core = spec.core
-    u, v = pair
-    combined_edges = _combined_edges(core)
-    for flip in _orientations_for(spec, left_mask, right_mask):
-        lm, rm = (right_mask, left_mask) if flip else (left_mask, right_mask)
-        lm &= ~avoid
-        rm &= ~avoid
-        allowed = [lm] * core.m + [rm] * core.n
-        for ei, (a, b) in enumerate(combined_edges):
+    s, t = core.m, core.n
+    complete = spec.is_complete
+    if complete:
+        kst_accept = None if accept is None else (lambda s_side, t_side: accept(s_side + t_side, 0))
+    else:
+        edges = _combined_edges(core)
+    # every core edge runs from the first part (lm) to the second (rm)
+    for lm, rm in _side_masks(spec, left_mask, right_mask, avoid):
+        if complete:
+            # with equal sides and masks, a copy with v on the first side is
+            # the same vertex set as one with u there: one direction suffices
+            for ha, hb in ((u, v),) if s == t and lm == rm else ((u, v), (v, u)):
+                if lm >> ha & 1 and rm >> hb & 1 and kst_through(adj, s, t, lm, rm, (ha, hb), kst_accept):
+                    return True
+            continue
+        allowed = [lm] * s + [rm] * t
+        for ei, (a, b) in enumerate(edges):
             for ha, hb in ((u, v), (v, u)):
-                if allowed[a] >> ha & 1 and allowed[b] >> hb & 1:
-                    for emb in _iter_core_embeddings(
-                        core.m + core.n, combined_edges, allowed, adj, {a: ha, b: hb}
-                    ):
-                        yield ei, emb
+                if lm >> ha & 1 and rm >> hb & 1:
+                    for emb in _iter_core_embeddings(s + t, edges, allowed, adj, {a: ha, b: hb}):
+                        if accept is None or accept(emb, ei):
+                            return True
+    return False
 
 
 def pattern_through_edge(host: GraphHost, spec: PatternSpec, u: int, v: int) -> bool:
     """Does some copy of the pattern use host edge (u, v)?  The host holds it."""
-    if spec.is_complete:
-        return _kst_through_pair(spec, host.adj, host.left_mask, host.right_mask, (u, v))
-    return next(_iter_through_pair(spec, host.adj, host.left_mask, host.right_mask, (u, v)), None) is not None
+    return _copy_through_pair(spec, host.adj, host.left_mask, host.right_mask, (u, v))
 
 
 def expansion_through_triple(
@@ -829,15 +824,10 @@ def expansion_through_triple(
     combined_edges = _combined_edges(spec.core)
     a, b, c = triple
     for pair, apex in (((a, b), c), ((a, c), b), ((b, c), a)):
-        if spec.is_complete:  # a K{s,t} copy puts the apex on core edge 0
-            def apex_match(s_side, t_side):
-                return _try_apex_match(s_side + t_side, combined_edges, pair_link, forced=(0, apex))
-            if _kst_through_pair(spec, adj, lm, rm, pair, 1 << apex, apex_match):
-                return True
-            continue
-        for ei, emb in _iter_through_pair(spec, adj, lm, rm, pair, 1 << apex):
-            if _try_apex_match(emb, combined_edges, pair_link, forced=(ei, apex)):
-                return True
+        def apex_match(core_map, ei):
+            return _try_apex_match(core_map, combined_edges, pair_link, forced=(ei, apex))
+        if _copy_through_pair(spec, adj, lm, rm, pair, 1 << apex, apex_match):
+            return True
     return False
 
 
@@ -912,51 +902,41 @@ def _core_map_fits(m: tuple[int, ...], spec: PatternSpec, left: range, right: ra
     return True
 
 
-def verify_graph_witness(g: Graph, spec: PatternSpec, w: EmbeddingWitness) -> bool:
-    core = spec.core
-    m = w.core_map
-    if not _core_map_fits(m, spec, range(g.n), range(g.n)):
+def _host_view(h) -> tuple[range, range, set]:
+    """Left part, right part and edge set (sorted tuples) of a static host,
+    in combined labels; a host without parts is its own left and right."""
+    if isinstance(h, (Graph, ThreeGraph)):
+        return range(h.n), range(h.n), set(h.edges)
+    # bipartite (u, w) or semibipartite (u, v, w): the last label is on the right
+    return range(h.m), range(h.m, h.m + h.n), {(*e[:-1], h.m + e[-1]) for e in h.edges}
+
+
+def _witness_holds(h, spec: PatternSpec, core_map, core_edges, apexes=()) -> bool:
+    """core_map fits the host and the placement, and every core edge, with
+    its apex when apexes are given, is an edge of the host."""
+    left, right, edges = _host_view(h)
+    if not _core_map_fits(core_map, spec, left, right):
         return False
-    return all(g.has_edge(m[a], m[core.m + b]) for a, b in core.edges)
+    for i, (a, b) in enumerate(core_edges):
+        if tuple(sorted((core_map[a], core_map[b], *apexes[i : i + 1]))) not in edges:
+            return False
+    return True
+
+
+def verify_graph_witness(g: Graph, spec: PatternSpec, w: EmbeddingWitness) -> bool:
+    return _witness_holds(g, spec, w.core_map, _combined_edges(spec.core))
 
 
 def verify_bipartite_witness(g: BipartiteGraph, spec: PatternSpec, w: EmbeddingWitness) -> bool:
-    core = spec.core
-    m = w.core_map
-    left = range(g.m)
-    right = range(g.m, g.m + g.n)
-    if not _core_map_fits(m, spec, left, right):
-        return False
-    for a, b in core.edges:
-        ha, hb = m[a], m[core.m + b]
-        if ha in right:
-            ha, hb = hb, ha
-        if not (ha in left and hb in right and g.has_edge(ha, hb - g.m)):
-            return False
-    return True
+    return _witness_holds(g, spec, w.core_map, _combined_edges(spec.core))
 
 
 def verify_expansion_witness(
     h: ThreeGraph | SemibipartiteThreeGraph, spec: PatternSpec, w: ExpansionWitness
 ) -> bool:
-    if isinstance(h, SemibipartiteThreeGraph):
-        host = h.to_three_graph()
-        left = range(h.m)
-        right = range(h.m, h.m + h.n)
-    else:
-        host = h
-        left = right = range(h.n)
-    core = spec.core
-    m = w.core_map
-    if not _core_map_fits(m, spec, left, right) or len(w.apexes) != core.edge_count:
+    core_edges = _combined_edges(spec.core)
+    if len(w.apexes) != len(core_edges) or sorted(w.core_edges) != sorted(core_edges):
         return False
-    if sorted(w.core_edges) != sorted(_combined_edges(core)):
+    if len(set(w.apexes)) != len(w.apexes) or set(w.apexes) & set(w.core_map):
         return False
-    if len(set(w.apexes)) != len(w.apexes) or set(w.apexes) & set(m):
-        return False
-    edge_set = set(host.edges)
-    for (a, b), apex in zip(w.core_edges, w.apexes):
-        tri = tuple(sorted((m[a], m[b], apex)))
-        if tri not in edge_set:
-            return False
-    return True
+    return _witness_holds(h, spec, w.core_map, w.core_edges, w.apexes)

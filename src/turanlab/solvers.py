@@ -34,9 +34,11 @@ edge set among the hosts the symmetry-reduced search visits.  Every witness
 is re-verified against the full pattern finders before being returned.
 
 Rule (i) is the hot path: one `pattern_through_edge` or
-`expansion_through_triple` call per included edge, which for a complete
-bipartite core (C4 among them) is one early-exit bitset search anchored at
-the new edge, `patterns.kst_through`; other cores follow a cached plan.
+`expansion_through_triple` call per included edge.  Both ask one anchored
+check whether a copy has a core edge on the new pair; for a complete
+bipartite core (C4 among them) that is one early-exit bitset search,
+`patterns.kst_through`, and other cores anchor each core edge in turn and
+follow a cached plan.
 
 ``eval_bound`` evaluates the closed-form upper bounds that accompany the
 solvers with high-precision arithmetic (mpmath) and records which formula

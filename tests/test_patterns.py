@@ -299,10 +299,10 @@ def test_bipartite_witness_rejects_an_edge_inside_one_part():
 def test_ordered_expansion_witness_rejects_the_wrong_side():
     host = SemibipartiteThreeGraph(2, 1, [(0, 1, 0)])  # the triple (0, 1, 2) combined
     spec = complete_bipartite(1, 1, True, "ordered")
-    edges = ((0, 1),)
-    assert verify_expansion_witness(host, spec, ExpansionWitness((0, 2), edges, (1,)))
-    assert not verify_expansion_witness(host, spec, ExpansionWitness((2, 0), edges, (1,)))
-    assert verify_expansion_witness(host, spec.with_placement("unordered"), ExpansionWitness((2, 0), edges, (1,)))
+    right_first = ExpansionWitness((2, 0), ((0, 1),), (1,))
+    assert verify_expansion_witness(host, spec, ExpansionWitness((0, 2), ((0, 1),), (1,)))
+    assert not verify_expansion_witness(host, spec, right_first)
+    assert verify_expansion_witness(host, spec.with_placement("unordered"), right_first)
 
 
 def test_host_kind_mismatches():
