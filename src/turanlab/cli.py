@@ -50,7 +50,7 @@ from .constructions import (
     random_deletion_lower_bound,
 )
 from .errors import CapExceededError, InvariantViolationError
-from .harness import boundedness_scan, read_csv, sweep, write_csv
+from .harness import read_csv, scan_grid, write_csv
 from .hypergraph import Graph, dumps_canonical, to_graph6
 from .patterns import parse_pattern
 from .solvers import BOUND_IDS, eval_bound, ex_exact, z_exact, z_expansion_exact
@@ -77,7 +77,6 @@ class JobSpec:
     params: dict = field(default_factory=dict)
     output: str | None = None
     seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -194,12 +193,7 @@ def _cmd_scan(spec: JobSpec) -> tuple[int, dict]:
             alphas.append(Fraction(a))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"--alpha needs a number such as 1, 0.5 or 2/3, got {a!r}") from None
-    cells = [(n, a) for n in p["ns"] for a in alphas]
-    rows = sweep(
-        lambda cell: boundedness_scan(specs, cell[0], cell[1], host_kind).to_csv_row(),
-        cells,
-        jobs=spec.jobs,
-    )
+    rows = [r.to_csv_row() for r in scan_grid(specs, p["ns"], alphas, host_kind)]
     write_csv(rows, sys.stdout if spec.output is None else spec.output)
     return 0, {"cells": len(rows)}
 
@@ -297,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", action="append", required=True,
                     help="density parameter, e.g. 1, 0.5, or 2/3 (repeatable)")
     sp.add_argument("--host-kind", choices=("graph", "3graph"), default="graph")
-    sp.add_argument("--jobs", type=int, default=1, help="worker threads for the scan cells")
     common(sp)
 
     sp = sub.add_parser("bound", help="evaluate a certified upper-bound formula")
@@ -360,7 +353,7 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
         params = {"bound_id": args.bound_id, "sets": list(getattr(args, "set"))}
     else:
         params = {"inputs": list(args.inputs)}
-    return JobSpec(cmd, params, args.output, args.seed, getattr(args, "jobs", 1))
+    return JobSpec(cmd, params, args.output, args.seed)
 
 
 def main(argv=None) -> int:

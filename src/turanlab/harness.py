@@ -3,8 +3,11 @@
 The harness instantiates, at desk scale, the counting arguments that drive
 degree-constrained extremal questions:
 
-* ``boundedness_scan`` compares the pattern-free optimum with and without a
-  maximum-degree floor derived from a density parameter alpha.
+* ``scan_grid`` compares the pattern-free optimum with and without a
+  maximum-degree floor derived from a density parameter alpha, over a grid
+  of (n, alpha) cells.  It solves the free problem once per n and a floor
+  problem only where the free witness misses the floor;
+  ``boundedness_scan`` is its one-cell call.
 * ``decompose_graph`` / ``decompose_3graph`` split a host around a pivot
   vertex into the regions whose edge counts appear in those arguments; the
   3-graph split classifies the other vertices by their codegree with the
@@ -29,10 +32,9 @@ JSON and CSV rows carrying content hashes of their witness hosts.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, comb
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -43,6 +45,7 @@ from .hypergraph import (
     SemibipartiteThreeGraph,
     ThreeGraph,
     content_hash,
+    degree_stats,
 )
 from .patterns import (
     PatternSpec,
@@ -172,43 +175,50 @@ class RemovalRatioReport:
 
 
 def boundedness_scan(patterns, n: int, alpha, host_kind: str = "graph") -> ScanReport:
-    """Compare the pattern-free optimum with and without a degree floor.
+    """One cell of ``scan_grid``: the scan of a single n and alpha."""
+    return scan_grid(patterns, (n,), (alpha,), host_kind)[0]
 
-    The floor is ceil(alpha * (n-1)) for graphs and ceil(alpha * C(n-1,2))
-    for 3-graphs.  When even the unconstrained optimum is 0 the ratio is 1
-    by convention (there is no gap to speak of).
+
+def scan_grid(
+    patterns, ns: Iterable[int], alphas: Iterable, host_kind: str = "graph"
+) -> list[ScanReport]:
+    """Compare the pattern-free optimum with and without a degree floor,
+    for every n (outer) and alpha (inner).
+
+    The floor is ceil(alpha * C(n-1, r-1)) on r-graphs (r = 2 or 3).  Every
+    alpha and the host kind are checked before any solve.  The free problem
+    is solved once per n.  The free witness is the first best leaf in search
+    order, so under a floor it meets the floor-constrained search returns it
+    too: that cell reuses the free result.  When even the unconstrained
+    optimum is 0 the ratio is 1 by convention (no gap to speak of).
     """
     specs = normalize_specs(patterns)
-    fa = Fraction(alpha)
-    if not 0 < fa <= 1:
+    fas = [Fraction(a) for a in alphas]
+    if not all(0 < fa <= 1 for fa in fas):
         raise ValueError("alpha must lie in (0, 1]")
-    if host_kind == "graph":
-        slots = max(n - 1, 0)
-    elif host_kind == "3graph":
-        slots = (n - 1) * (n - 2) // 2 if n >= 2 else 0
-    else:
+    rank = {"graph": 2, "3graph": 3}.get(host_kind)
+    if rank is None:
         raise ValueError(f"unknown host kind {host_kind!r}")
-    floor = ceil(fa * slots)
-    unconstrained = ex_exact(n, specs, host_kind=host_kind)
-    constrained = ex_exact(n, specs, host_kind=host_kind, degree_floor=floor)
-    if constrained.value > unconstrained.value:
-        raise InvariantViolationError("constrained optimum exceeds the free optimum")
-    if unconstrained.value == 0:
-        ratio = Fraction(1)
-    else:
-        ratio = Fraction(constrained.value, unconstrained.value)
-    return ScanReport(
-        pattern=",".join(s.display_name() for s in specs),
-        host_kind=host_kind,
-        n=n,
-        alpha=fa,
-        floor=floor,
-        constrained_max=constrained.value,
-        unconstrained_ex=unconstrained.value,
-        ratio=ratio,
-        constrained_witness=constrained.witness,
-        unconstrained_witness=unconstrained.witness,
-    )
+    name = ",".join(s.display_name() for s in specs)
+    reports = []
+    for n in ns:
+        slots = comb(max(n - 1, 0), rank - 1)
+        free = ex_exact(n, specs, host_kind=host_kind)
+        top = degree_stats(free.witness).maximum
+        for fa in fas:
+            floor = ceil(fa * slots)
+            constrained = free
+            if top < floor:
+                constrained = ex_exact(n, specs, host_kind=host_kind, degree_floor=floor)
+                if constrained.value > free.value:
+                    raise InvariantViolationError("constrained optimum exceeds the free optimum")
+            ratio = Fraction(constrained.value, free.value) if free.value else Fraction(1)
+            reports.append(ScanReport(
+                pattern=name, host_kind=host_kind, n=n, alpha=fa, floor=floor,
+                constrained_max=constrained.value, unconstrained_ex=free.value, ratio=ratio,
+                constrained_witness=constrained.witness, unconstrained_witness=free.witness,
+            ))
+    return reports
 
 
 def decompose_graph(g: Graph, v: int) -> Decomposition:
@@ -430,16 +440,9 @@ def removal_ratio(pattern: PatternSpec, v: int, n: int) -> RemovalRatioReport:
 
 
 def sweep(fn: Callable, cells: Sequence, jobs: int = 1) -> list:
-    """Apply fn to every cell, optionally on a thread pool.
-
-    Cells are independent; results come back in cell order, so the output
-    does not depend on the number of jobs.
-    """
-    cells = list(cells)
-    if jobs <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, cells))
+    """Apply fn to every cell in order.  ``jobs`` is accepted and ignored,
+    for callers written when cells could run on threads."""
+    return [fn(c) for c in cells]
 
 
 def write_csv(rows: Iterable[dict], out: str | Path | TextIO) -> None:

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -77,14 +78,18 @@ class PatternSpec:
     placement: str = "unordered"
     name: str = ""
     is_complete: bool = field(init=False, repr=False, compare=False)
+    combined_edges: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.placement not in PLACEMENTS:
             raise ValueError(f"unknown placement: {self.placement!r}")
         if self.placement == "core-in-V1" and not self.expansion:
             raise ValueError("core-in-V1 placement applies to expansions only")
-        # read by every incremental check, so counted once here
-        object.__setattr__(self, "is_complete", self.core.edge_count == self.core.m * self.core.n)
+        # read by every incremental check, so computed once here
+        core = self.core
+        object.__setattr__(self, "is_complete", core.edge_count == core.m * core.n)
+        # core edges in combined labels: right-part vertices shifted by core.m
+        object.__setattr__(self, "combined_edges", tuple((a, core.m + b) for a, b in core.edges))
 
     @property
     def vertex_count(self) -> int:
@@ -492,12 +497,6 @@ def _iter_core_embeddings(
     yield from rec(0, used)
 
 
-@lru_cache(maxsize=256)
-def _combined_edges(core: BipartiteGraph) -> tuple[tuple[int, int], ...]:
-    """Core edges in combined labels: right-part vertices shifted by core.m."""
-    return tuple((a, core.m + b) for a, b in core.edges)
-
-
 def _match_distinct(masks: list[int]) -> list[int] | None:
     """Assign one distinct vertex per mask (maximum bipartite matching)."""
     owner: dict[int, int] = {}
@@ -644,7 +643,7 @@ def _iter_pattern_embeddings(
                 yield a + b
         else:
             allowed = [lm] * core.m + [rm] * core.n
-            yield from _iter_core_embeddings(core.m + core.n, _combined_edges(core), allowed, adj)
+            yield from _iter_core_embeddings(core.m + core.n, spec.combined_edges, allowed, adj)
 
 
 def _side_masks(
@@ -742,7 +741,7 @@ def find_expansion(
         raise ValueError("graph pattern against a 3-graph host")
     host = ThreeGraphHost.of(h)
     lm, rm = host.placement_masks(spec)
-    combined_edges = _combined_edges(spec.core)
+    combined_edges = spec.combined_edges
     for emb in _iter_pattern_embeddings(spec, host.adj, lm, rm):
         witness = _try_apex_match(emb, combined_edges, host.pair_link)
         if witness is not None:
@@ -757,7 +756,7 @@ def iter_graph_embeddings(g: Graph, spec: PatternSpec) -> Iterator[tuple[int, ..
     core = spec.core
     full = (1 << g.n) - 1
     allowed = [full] * (core.m + core.n)
-    yield from _iter_core_embeddings(core.m + core.n, _combined_edges(core), allowed, list(g.adj))
+    yield from _iter_core_embeddings(core.m + core.n, spec.combined_edges, allowed, list(g.adj))
 
 
 # -- solver-facing incremental checks (the host already holds the new edge) --
@@ -783,7 +782,7 @@ def _copy_through_pair(spec: PatternSpec, adj, left_mask, right_mask, pair, avoi
     if complete:
         kst_accept = None if accept is None else (lambda s_side, t_side: accept(s_side + t_side, 0))
     else:
-        edges = _combined_edges(core)
+        edges = spec.combined_edges
     # every core edge runs from the first part (lm) to the second (rm)
     for lm, rm in _side_masks(spec, left_mask, right_mask, avoid):
         if complete:
@@ -821,7 +820,7 @@ def expansion_through_triple(
         raise ValueError("graph pattern against a 3-graph host")
     lm, rm = host.placement_masks(spec)
     adj, pair_link = host.adj, host.pair_link
-    combined_edges = _combined_edges(spec.core)
+    combined_edges = spec.combined_edges
     a, b, c = triple
     for pair, apex in (((a, b), c), ((a, c), b), ((b, c), a)):
         def apex_match(core_map, ei):
@@ -902,39 +901,42 @@ def _core_map_fits(m: tuple[int, ...], spec: PatternSpec, left: range, right: ra
     return True
 
 
-def _host_view(h) -> tuple[range, range, set]:
-    """Left part, right part and edge set (sorted tuples) of a static host,
-    in combined labels; a host without parts is its own left and right."""
-    if isinstance(h, (Graph, ThreeGraph)):
-        return range(h.n), range(h.n), set(h.edges)
-    # bipartite (u, w) or semibipartite (u, v, w): the last label is on the right
-    return range(h.m), range(h.m, h.m + h.n), {(*e[:-1], h.m + e[-1]) for e in h.edges}
-
-
 def _witness_holds(h, spec: PatternSpec, core_map, core_edges, apexes=()) -> bool:
     """core_map fits the host and the placement, and every core edge, with
-    its apex when apexes are given, is an edge of the host."""
-    left, right, edges = _host_view(h)
+    its apex when apexes are given, is an edge of the host.
+
+    Labels are combined (a host without parts is its own left and right).
+    Each edge is bisected for in the sorted host edges; on a host with parts
+    its last label, the right one, loses m, so a left label finds nothing.
+    """
+    if isinstance(h, (Graph, ThreeGraph)):
+        m, left, right = 0, range(h.n), range(h.n)
+    else:
+        m, left, right = h.m, range(h.m), range(h.m, h.m + h.n)
     if not _core_map_fits(core_map, spec, left, right):
         return False
+    edges = h.edges
     for i, (a, b) in enumerate(core_edges):
-        if tuple(sorted((core_map[a], core_map[b], *apexes[i : i + 1]))) not in edges:
+        *lower, last = sorted((core_map[a], core_map[b], *apexes[i : i + 1]))
+        key = (*lower, last - m)
+        j = bisect_left(edges, key)
+        if j == len(edges) or edges[j] != key:
             return False
     return True
 
 
 def verify_graph_witness(g: Graph, spec: PatternSpec, w: EmbeddingWitness) -> bool:
-    return _witness_holds(g, spec, w.core_map, _combined_edges(spec.core))
+    return _witness_holds(g, spec, w.core_map, spec.combined_edges)
 
 
 def verify_bipartite_witness(g: BipartiteGraph, spec: PatternSpec, w: EmbeddingWitness) -> bool:
-    return _witness_holds(g, spec, w.core_map, _combined_edges(spec.core))
+    return _witness_holds(g, spec, w.core_map, spec.combined_edges)
 
 
 def verify_expansion_witness(
     h: ThreeGraph | SemibipartiteThreeGraph, spec: PatternSpec, w: ExpansionWitness
 ) -> bool:
-    core_edges = _combined_edges(spec.core)
+    core_edges = spec.combined_edges
     if len(w.apexes) != len(core_edges) or sorted(w.core_edges) != sorted(core_edges):
         return False
     if len(set(w.apexes)) != len(w.apexes) or set(w.apexes) & set(w.core_map):

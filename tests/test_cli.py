@@ -196,7 +196,7 @@ class TestScanAndReport:
         out = tmp_path / "scan.csv"
         code, _, status = run_cli(
             "scan", "--pattern", "C4", "--n", "5", "--n", "6",
-            "--alpha", "1", "--alpha", "1/2", "--jobs", "2", "-o", str(out),
+            "--alpha", "1", "--alpha", "1/2", "-o", str(out),
         )
         assert code == 0
         assert status["cells"] == 4
@@ -210,10 +210,12 @@ class TestScanAndReport:
         assert status["exit"] == 2 and status["status"] == "error"
         assert "'1/0'" in status["error"]
 
-    def test_jobs_belongs_to_scan_only(self, capsys):
-        assert main(["solve", "ex", "--n", "5", "--pattern", "C4", "--jobs", "2"]) == 2
-        status = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert status == {"command": None, "exit": 2, "status": "error"}
+    def test_no_command_takes_jobs(self, capsys):
+        for command in (["solve", "ex", "--n", "5", "--pattern", "C4"],
+                        ["scan", "--pattern", "C4", "--n", "5", "--alpha", "1"]):
+            assert main([*command, "--jobs", "2"]) == 2
+            status = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert status == {"command": None, "exit": 2, "status": "error"}
 
     def test_report_merges(self, tmp_path):
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"

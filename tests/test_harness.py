@@ -126,6 +126,31 @@ class TestBoundednessScan:
         with pytest.raises(ValueError):
             H.boundedness_scan(even_cycle(4), 5, 1, host_kind="bipartite")
 
+    def test_grid_solves_the_free_problem_once_per_n(self, monkeypatch):
+        calls = []
+        solve = H.ex_exact
+
+        def counting(n, specs, **kwargs):
+            calls.append((n, kwargs.get("degree_floor")))
+            return solve(n, specs, **kwargs)
+
+        monkeypatch.setattr(H, "ex_exact", counting)
+        alphas = (1, Fraction(3, 4), Fraction(1, 2), Fraction(1, 4))
+        reports = H.scan_grid(even_cycle(4), (7, 8), alphas)
+        # only C4 at n = 8 under floors 7 and 6 needs more than the free witness
+        assert calls == [(7, None), (8, None), (8, 7), (8, 6)]
+        assert [(r.n, r.floor, r.constrained_max, r.unconstrained_ex) for r in reports] == [
+            (7, 6, 9, 9), (7, 5, 9, 9), (7, 3, 9, 9), (7, 2, 9, 9),
+            (8, 7, 10, 11), (8, 6, 10, 11), (8, 4, 11, 11), (8, 2, 11, 11),
+        ]
+
+    def test_grid_checks_every_alpha_before_solving(self, monkeypatch):
+        monkeypatch.setattr(H, "ex_exact", None)
+        with pytest.raises(ValueError, match="alpha must lie"):
+            H.scan_grid(even_cycle(4), (5, 6), (1, 2))
+        with pytest.raises(ValueError, match="unknown host kind"):
+            H.scan_grid(even_cycle(4), (5,), (1,), host_kind="bipartite")
+
     def test_report_serialization(self):
         r = H.boundedness_scan(even_cycle(4), 5, Fraction(1, 2))
         d = r.to_json_dict()
