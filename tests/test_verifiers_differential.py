@@ -123,20 +123,20 @@ PARTED = {"bipartite": BipartiteGraph, "semibipartite": SemibipartiteThreeGraph}
 def test_verifiers_match_the_set_rule(kind, data):
     rank3 = kind in ("3graph", "semibipartite")
     core = data.draw(st.sampled_from(CORES))
+    k = core.m + core.n
     # usually room for every label of the witness, sometimes not
     room = data.draw(st.integers(0, 2)) > 0
     if kind in PARTED:
         # core pairs and apexes, or the two core parts, fit on their sides
-        left, right = (core.m + core.n, core.edge_count) if rank3 else (core.m, core.n)
+        left, right = (k, core.edge_count) if rank3 else (core.m, core.n)
         m = data.draw(st.integers(left * room, 6))
         n = data.draw(st.integers(right * room, 5))
     else:
-        m, n = 0, data.draw(st.integers((core.m + core.n + core.edge_count * rank3) * room, 9))
+        m, n = 0, data.draw(st.integers((k + core.edge_count * rank3) * room, 9))
     size = m + n if kind in PARTED else n
     placements = ("unordered", "ordered", "core-in-V1") if rank3 else ("unordered", "ordered")
     spec = PatternSpec(core, rank3, data.draw(st.sampled_from(placements)))
 
-    k = core.m + core.n
     core_edges = _combined(spec)
     if rank3 and data.draw(st.booleans()):
         core_edges = tuple(data.draw(st.permutations(core_edges)))
