@@ -440,8 +440,8 @@ def removal_ratio(pattern: PatternSpec, v: int, n: int) -> RemovalRatioReport:
 
 
 def sweep(fn: Callable, cells: Sequence, jobs: int = 1) -> list:
-    """Apply fn to every cell in order.  ``jobs`` is accepted and ignored,
-    for callers written when cells could run on threads."""
+    """Apply fn to every cell in order.  ``jobs`` is ignored; it stays only
+    for callers that still pass it."""
     return [fn(c) for c in cells]
 
 
