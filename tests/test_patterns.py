@@ -72,6 +72,11 @@ def _brute_bipartite(g, spec):
 
 
 def _brute_expansion(h, spec):
+    """Reference search: injective maps of every vertex of the expansion
+    such that each core edge with its apex lands on a host triple.  Core
+    vertices are placed in breadth-first order, each core edge's apex right
+    after the later of its two ends, and a map is abandoned as soon as a
+    placed core edge misses the shadow or a placed apex misses its triple."""
     if isinstance(h, SemibipartiteThreeGraph):
         nv = h.m + h.n
         triples = {tuple(sorted((u, v, h.m + w))) for u, v, w in h.edges}
@@ -83,36 +88,54 @@ def _brute_expansion(h, spec):
     edges = _combined_labels(spec)
     core = spec.core
     k = core.m + core.n
+    if spec.placement == "ordered":
+        sides = [left] * core.m + [set(range(nv)) - left] * core.n
+    elif spec.placement == "core-in-V1":
+        sides = [left] * k
+    else:
+        sides = [set(range(nv))] * k
+    link = {}  # shadow pair -> third vertices
+    for t in triples:
+        for i in range(3):
+            link.setdefault(t[:i] + t[i + 1 :], set()).add(t[i])
+    near = [set() for _ in range(nv)]
+    for a, b in link:
+        near[a].add(b)
+        near[b].add(a)
+    nbrs = [[b for a, b in edges if a == j] + [a for a, b in edges if b == j] for j in range(k)]
+    order = []  # breadth first: `for` sees what `+=` appends while it runs
+    for root in range(k):
+        if root not in order:
+            order.append(root)
+            for j in order:
+                order += [x for x in nbrs[j] if x not in order]
+    steps = []  # (core vertex, its placed neighbors), then (None, edge) per apex
+    for i, j in enumerate(order):
+        back = [x for x in nbrs[j] if x in order[:i]]
+        steps.append((j, back))
+        steps += [(None, (x, j)) for x in back]
+    core_map = [-1] * k
+    used = set()
 
-    def match(idx, sets, used):
-        if idx == len(sets):
+    def rec(i):
+        if i == len(steps):
             return True
-        for w in sorted(sets[idx] - used):
-            if match(idx + 1, sets, used | {w}):
+        j, e = steps[i]
+        if j is None:
+            cands = link.get(tuple(sorted(core_map[x] for x in e)), set())
+        else:
+            cands = sides[j].intersection(*(near[core_map[x]] for x in e))
+        for v in sorted(cands - used):
+            if j is not None:
+                core_map[j] = v
+            used.add(v)
+            found = rec(i + 1)
+            used.discard(v)
+            if found:
                 return True
         return False
 
-    for perm in itertools.permutations(range(nv), k):
-        if spec.placement == "ordered":
-            if any(perm[i] not in left for i in range(core.m)):
-                continue
-            if any(perm[core.m + j] in left for j in range(core.n)):
-                continue
-        elif spec.placement == "core-in-V1":
-            if any(v not in left for v in perm):
-                continue
-        image = set(perm)
-        sets = []
-        for a, b in edges:
-            s = {
-                w
-                for w in range(nv)
-                if w not in image and tuple(sorted((perm[a], perm[b], w))) in triples
-            }
-            sets.append(s)
-        if all(sets) and match(0, sets, set()):
-            return perm
-    return None
+    return tuple(core_map) if rec(0) else None
 
 
 def _random_graph(rng, n, p):

@@ -45,6 +45,18 @@ def _path4(expansion=False, placement="unordered"):
     return PatternSpec(core, expansion, placement, "P4")
 
 
+def _p3_k2(placement="unordered"):
+    """A path on three vertices plus a disjoint edge: a disconnected core
+    whose components can swap their parts one at a time."""
+    core = BipartiteGraph(3, 2, [(0, 0), (1, 0), (2, 1)])
+    return PatternSpec(core, False, placement, "P3+K2")
+
+
+def _two_k2(placement="unordered"):
+    """Two disjoint edges."""
+    return PatternSpec(BipartiteGraph(2, 2, [(0, 0), (1, 1)]), False, placement, "2K2")
+
+
 def _draw_order(data, planted, universe, extra):
     """Planted edges plus `extra` other edges of the universe, shuffled."""
     others = data.draw(st.permutations(universe))
@@ -78,6 +90,8 @@ GRAPH_CASES = [
     (even_cycle(6), 7, 8),
     (theta(1, 3, 3), 7, 8),
     (_path4(), 6, 6),
+    (_p3_k2(), 7, 8),
+    (_two_k2(), 6, 6),
 ]
 
 
@@ -136,6 +150,8 @@ BIPARTITE_CASES = [
     (theta(1, 3, 3), 4, 4),
     (_path4(placement="ordered"), 3, 3),
     (_path4(), 3, 3),
+    (_p3_k2(), 4, 4),
+    (_two_k2(), 3, 3),
 ]
 
 
@@ -190,6 +206,8 @@ THREE_GRAPH_CASES = [
     (complete_bipartite(1, 3, expansion=True), 7),
     (even_cycle(4, expansion=True), 8),
     (_path4(expansion=True), 7),
+    (even_cycle(6, expansion=True), 12),
+    (theta(1, 3, 3, expansion=True), 13),
 ]
 
 
@@ -242,6 +260,12 @@ SEMIBIPARTITE_CASES = [
     (_path4(expansion=True, placement="ordered"), 6, 3),
     (_path4(expansion=True, placement="core-in-V1"), 6, 3),
     (_path4(expansion=True), 6, 3),
+    (even_cycle(6, expansion=True, placement="ordered"), 9, 3),
+    (even_cycle(6, expansion=True, placement="core-in-V1"), 6, 6),
+    (even_cycle(6, expansion=True), 9, 6),
+    (theta(1, 3, 3, expansion=True, placement="ordered"), 10, 3),
+    (theta(1, 3, 3, expansion=True, placement="core-in-V1"), 6, 7),
+    (theta(1, 3, 3, expansion=True), 10, 7),
 ]
 
 

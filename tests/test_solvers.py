@@ -7,8 +7,15 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from turanlab.errors import CapExceededError
-from turanlab.hypergraph import BipartiteGraph, Graph, SemibipartiteThreeGraph, ThreeGraph
+from turanlab import solvers
+from turanlab.errors import CapExceededError, InvariantViolationError
+from turanlab.hypergraph import (
+    BipartiteGraph,
+    Graph,
+    SemibipartiteThreeGraph,
+    ThreeGraph,
+    content_hash,
+)
 from turanlab.patterns import (
     PatternSpec,
     complete_bipartite,
@@ -170,6 +177,15 @@ def test_ex_c4_witness_is_lex_smallest():
     assert r.nodes_explored > 0
 
 
+def test_ex_c6_search_is_pinned():
+    # value, search size and witness of the one free C6 graph solve in the
+    # suite, recorded when the anchored check still tried every core edge
+    # in both directions; anchoring fewer edges must keep all three
+    r = ex_exact(7, parse_pattern("C6"))
+    assert (r.value, r.nodes_explored) == (13, 23932)
+    assert content_hash(r.witness) == "120979bd02b8f7d20df7cf32b5b4ddf56e65fa48"
+
+
 def test_z_known_values():
     k22 = parse_pattern("K{2,2}")
     assert z_exact(2, 2, k22).value == 3
@@ -294,6 +310,27 @@ def test_witnesses_are_independently_free():
     r = z_exact(3, 4, k22)
     assert r.witness.edge_count == r.value
     assert find_ordered_bipartite(r.witness, k22) is None
+
+
+@pytest.mark.parametrize(
+    "finder,solve",
+    [
+        ("find_in_graph", lambda: ex_exact(4, parse_pattern("C4"))),
+        ("find_expansion", lambda: ex_exact(4, parse_pattern("K{1,2}+"), host_kind="3graph")),
+        ("find_ordered_bipartite", lambda: z_exact(2, 2, parse_pattern("K{2,2}"))),
+        (
+            "find_expansion",
+            lambda: z_expansion_exact(
+                2, 2, parse_pattern("K{2,2}+ ordered"), parse_pattern("K{2,2}+ core-in-V1")
+            ),
+        ),
+    ],
+    ids=["ex", "ex-3graph", "z", "zexp"],
+)
+def test_witness_recheck_rejects_a_reported_copy(monkeypatch, finder, solve):
+    monkeypatch.setattr(solvers, finder, lambda host, spec: object())
+    with pytest.raises(InvariantViolationError, match="independent freeness re-check"):
+        solve()
 
 
 def test_monotonicity_in_host_size():
