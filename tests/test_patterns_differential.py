@@ -157,9 +157,14 @@ BIPARTITE_CASES = [
 
 def _grow_bipartite(data, spec, m, n, extra):
     core = spec.core
-    left = data.draw(st.permutations(range(m)))[: core.m]
-    right = data.draw(st.permutations(range(n)))[: core.n]
-    planted = [(left[a], m + right[b]) for a, b in core.edges]
+    # an unordered copy may put the core's first part on either host side
+    flip = spec.placement == "unordered" and data.draw(st.booleans())
+    left = data.draw(st.permutations(range(m)))[: core.n if flip else core.m]
+    right = data.draw(st.permutations(range(n)))[: core.m if flip else core.n]
+    if flip:
+        planted = [(left[b], m + right[a]) for a, b in core.edges]
+    else:
+        planted = [(left[a], m + right[b]) for a, b in core.edges]
     universe = [(u, m + w) for u in range(m) for w in range(n)]
     order = _draw_order(data, planted, universe, extra)
     host = GraphHost(m, n)
@@ -188,6 +193,14 @@ def _grow_bipartite(data, spec, m, n, extra):
 @given(data=st.data())
 def test_through_edge_matches_brute_on_bipartite_hosts(spec, m, n, data):
     _grow_bipartite(data, spec, m, n, 2 * m)
+
+
+@_settings(30)
+@given(data=st.data())
+def test_through_edge_matches_brute_p3_k2_on_bipartite_hosts(data):
+    # the anchored arcs may not treat a flip of the K2's parts alone as a
+    # symmetry: a copy with the path's centre on the left must still be found
+    _grow_bipartite(data, _p3_k2(), 4, 4, 8)
 
 
 @_settings(1)
