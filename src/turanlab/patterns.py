@@ -36,15 +36,15 @@ and `expansion_through_triple` ask whether the edge (or triple) just added
 completes a copy, and both ask it of one anchored check, `_copy_through_pair`:
 does an accept callback (at rank 3, the apex match forced onto the anchored
 core edge) take some copy with a core edge on the host pair?  It anchors
-core edges on the pair in each orientation and direction the placement
-allows.  A complete core anchors only its edge 0 and runs `kst_through`
-with the pair (ha, hb) as that edge: t-side candidates N(ha) minus hb, an
-s-side pool N(hb) minus ha, and a running intersection that must keep
-t - 1 members.  For C4 through uv this is the test "N(u) minus v meets N(x)
-for some x in N(v) minus u".  `kst_through` returns at the first copy taken
-and recurses by plain calls, not as a generator: one check runs per added
-edge, and generator frames cost more than the search.  Any other core
-anchors each of its edges in turn and follows the cached plan.
+each of the spec's `arcs`, one directed core edge per orbit of the core's
+automorphisms, on the pair in each orientation the placement allows.  A
+complete core runs `kst_through` with the pair as its edge 0: t-side
+candidates N(ha) minus hb, an s-side pool N(hb) minus ha, and a running
+intersection that must keep t - 1 members.  For C4 through uv this is the
+test "N(u) minus v meets N(x) for some x in N(v) minus u".  `kst_through`
+returns at the first copy taken and recurses by plain calls, not as a
+generator: one check runs per added edge, and generator frames cost more
+than the search.  Any other core follows the cached plan from its arc.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ class PatternSpec:
     name: str = ""
     is_complete: bool = field(init=False, repr=False, compare=False)
     combined_edges: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    arcs: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.placement not in PLACEMENTS:
@@ -90,6 +91,8 @@ class PatternSpec:
         object.__setattr__(self, "is_complete", core.edge_count == core.m * core.n)
         # core edges in combined labels: right-part vertices shifted by core.m
         object.__setattr__(self, "combined_edges", tuple((a, core.m + b) for a, b in core.edges))
+        # one directed core edge per symmetry class, for the anchored checks
+        object.__setattr__(self, "arcs", _core_arcs(core, core.m == core.n and self.placement != "ordered"))
 
     @property
     def vertex_count(self) -> int:
@@ -105,6 +108,29 @@ class PatternSpec:
         if self.placement != "unordered":
             base += f" {self.placement}"
         return base
+
+
+@lru_cache(maxsize=256)
+def _core_arcs(core: BipartiteGraph, swaps: bool) -> tuple[tuple[int, int, int], ...]:
+    """`PatternSpec.arcs`: arc (ei, x, y) stands for each directed core edge
+    that an automorphism (an embedding of the core into itself keeping both
+    parts whole, or if `swaps` exchanging them) maps x -> y onto.  Arcs come
+    in edge order, forward first: a complete core's lie on its edge 0."""
+    host = GraphHost.of(core)
+    keep = [host.left_mask] * core.m + [host.right_mask] * core.n
+    sides = [keep, keep[::-1]] if swaps else [keep]  # swaps come with equal parts
+    edges = tuple((a, core.m + b) for a, b in core.edges)
+    directed = [(ei, x, y) for ei, (a, b) in enumerate(edges) for x, y in ((a, b), (b, a))]
+    arcs, seen = [], set()
+    for ei, rx, ry in directed:
+        if (rx, ry) not in seen:
+            arcs.append((ei, rx, ry))
+            for _, x, y in directed:
+                pre = {rx: x, ry: y}
+                maps = (_iter_core_embeddings(len(keep), edges, allowed, host.adj, pre) for allowed in sides)
+                if any(next(it, None) for it in maps):
+                    seen.add((x, y))
+    return tuple(arcs)
 
 
 @dataclass(frozen=True)
@@ -166,17 +192,10 @@ def _bipartite_from_graph(g: Graph, name: str) -> BipartiteGraph:
                     queue.append(u)
                 elif color[u] == color[v]:
                     raise ValueError(f"{name} is not bipartite")
-    left = [v for v in range(g.n) if color[v] == 0]
-    right = [v for v in range(g.n) if color[v] == 1]
-    lp = {v: i for i, v in enumerate(left)}
-    rp = {v: i for i, v in enumerate(right)}
-    edges = []
-    for u, v in g.edges:
-        if color[u] == 0:
-            edges.append((lp[u], rp[v]))
-        else:
-            edges.append((lp[v], rp[u]))
-    return BipartiteGraph(len(left), len(right), edges)
+    # each vertex's label inside its part: its rank among the vertices of its color
+    label = [color[:v].count(color[v]) for v in range(g.n)]
+    edges = [(label[u], label[v]) if color[u] == 0 else (label[v], label[u]) for u, v in g.edges]
+    return BipartiteGraph(color.count(0), color.count(1), edges)
 
 
 def theta(a: int, b: int, c: int, expansion: bool = False, placement: str = "unordered") -> PatternSpec:
@@ -651,11 +670,9 @@ def _side_masks(
 ) -> tuple[tuple[int, int], ...]:
     """Host masks (for the core's first part, for its second) to try, less
     the avoid mask: both orientations for unordered placement with distinct
-    part masks (unless the pattern is part-symmetric), one otherwise."""
+    part masks, one otherwise."""
     lm, rm = left_mask & ~avoid, right_mask & ~avoid
     if spec.placement != "unordered" or left_mask == right_mask:
-        return ((lm, rm),)
-    if spec.is_complete and spec.core.m == spec.core.n:
         return ((lm, rm),)
     return ((lm, rm), (rm, lm))
 
@@ -687,9 +704,8 @@ def find_ordered_bipartite(g: BipartiteGraph, spec: PatternSpec) -> EmbeddingWit
 
 
 def _first_copy(host: GraphHost, spec: PatternSpec) -> EmbeddingWitness | None:
-    for emb in _iter_pattern_embeddings(spec, host.adj, host.left_mask, host.right_mask):
-        return EmbeddingWitness(emb)
-    return None
+    emb = next(_iter_pattern_embeddings(spec, host.adj, host.left_mask, host.right_mask), None)
+    return None if emb is None else EmbeddingWitness(emb)
 
 
 def _try_apex_match(
@@ -767,38 +783,32 @@ def _copy_through_pair(spec: PatternSpec, adj, left_mask, right_mask, pair, avoi
     a core edge on the host pair?  Without accept any copy counts; host
     vertices in the avoid mask stay unused.
 
-    The anchored core edges are every edge of a general core, but only edge
-    0 of a complete one (every edge of K{s,t} is alike).  Each is anchored
-    on the pair in each orientation and direction the placement allows:
-    a complete core through `kst_through`, any other through its cached
-    embedding plan.
+    Each arc (ei, x, y) of the spec is anchored as x -> u, y -> v in each
+    orientation the placement allows: a complete core through `kst_through`,
+    any other through its cached embedding plan.  That is exact: a copy
+    with core edge e on the pair maps some arc of e onto (u, v), and the
+    automorphism carrying that arc to its orbit's representative carries
+    the copy, e's apex and its orientation (swapped with the parts) along.
     """
     u, v = pair
     if not adj[u] >> v & 1:
         return False
-    core = spec.core
-    s, t = core.m, core.n
-    complete = spec.is_complete
-    if complete:
-        kst_accept = None if accept is None else (lambda s_side, t_side: accept(s_side + t_side, 0))
-    else:
-        edges = spec.combined_edges
+    s, t = spec.core.m, spec.core.n
+    # kst_through leads a copy's sides by core vertices 0 and s: edge 0
+    kst_accept = None if accept is None else (lambda s_side, t_side: accept(s_side + t_side, 0))
     # every core edge runs from the first part (lm) to the second (rm)
     for lm, rm in _side_masks(spec, left_mask, right_mask, avoid):
-        if complete:
-            # with equal sides and masks, a copy with v on the first side is
-            # the same vertex set as one with u there: one direction suffices
-            for ha, hb in ((u, v),) if s == t and lm == rm else ((u, v), (v, u)):
+        if spec.is_complete:
+            for _, x, _ in spec.arcs:
+                ha, hb = (u, v) if x < s else (v, u)
                 if lm >> ha & 1 and rm >> hb & 1 and kst_through(adj, s, t, lm, rm, (ha, hb), kst_accept):
                     return True
             continue
         allowed = [lm] * s + [rm] * t
-        for ei, (a, b) in enumerate(edges):
-            for ha, hb in ((u, v), (v, u)):
-                if lm >> ha & 1 and rm >> hb & 1:
-                    for emb in _iter_core_embeddings(s + t, edges, allowed, adj, {a: ha, b: hb}):
-                        if accept is None or accept(emb, ei):
-                            return True
+        for ei, x, y in spec.arcs:
+            for emb in _iter_core_embeddings(s + t, spec.combined_edges, allowed, adj, {x: u, y: v}):
+                if accept is None or accept(emb, ei):
+                    return True
     return False
 
 
@@ -886,24 +896,10 @@ def greedy_extend(h: ThreeGraph, s_side: tuple[int, ...], t_side: tuple[int, ...
 # -- witness verification (direct definition checks, used by tests and harness) --
 
 
-def _core_map_fits(m: tuple[int, ...], spec: PatternSpec, left: range, right: range) -> bool:
-    """One distinct host vertex per core vertex, each inside the host, on the
-    sides the spec's placement asks for."""
-    core = spec.core
-    if len(m) != spec.vertex_count or len(set(m)) != len(m):
-        return False
-    if not all(v in left or v in right for v in m):
-        return False
-    if spec.placement == "ordered":
-        return all(v in left for v in m[: core.m]) and all(v in right for v in m[core.m :])
-    if spec.placement == "core-in-V1":
-        return all(v in left for v in m)
-    return True
-
-
 def _witness_holds(h, spec: PatternSpec, core_map, core_edges, apexes=()) -> bool:
-    """core_map fits the host and the placement, and every core edge, with
-    its apex when apexes are given, is an edge of the host.
+    """core_map puts one distinct host vertex per core vertex on the sides
+    the placement asks for, and every core edge, with its apex when apexes
+    are given, is an edge of the host.
 
     Labels are combined (a host without parts is its own left and right).
     Each edge is bisected for in the sorted host edges; on a host with parts
@@ -913,7 +909,16 @@ def _witness_holds(h, spec: PatternSpec, core_map, core_edges, apexes=()) -> boo
         m, left, right = 0, range(h.n), range(h.n)
     else:
         m, left, right = h.m, range(h.m), range(h.m, h.m + h.n)
-    if not _core_map_fits(core_map, spec, left, right):
+    k = spec.core.m
+    if len(core_map) != spec.vertex_count or len(set(core_map)) != len(core_map):
+        return False
+    if not all(v in left or v in right for v in core_map):
+        return False
+    if spec.placement == "ordered" and not (
+        all(v in left for v in core_map[:k]) and all(v in right for v in core_map[k:])
+    ):
+        return False
+    if spec.placement == "core-in-V1" and not all(v in left for v in core_map):
         return False
     edges = h.edges
     for i, (a, b) in enumerate(core_edges):

@@ -34,11 +34,9 @@ edge set among the hosts the symmetry-reduced search visits.  Every witness
 is re-verified against the full pattern finders before being returned.
 
 Rule (i) is the hot path: one `pattern_through_edge` or
-`expansion_through_triple` call per included edge.  Both ask one anchored
-check whether a copy has a core edge on the new pair; for a complete
-bipartite core (C4 among them) that is one early-exit bitset search,
-`patterns.kst_through`, and other cores anchor each core edge in turn and
-follow a cached plan.
+`expansion_through_triple` call per included edge.  Both anchor on the new
+pair one directed core edge per symmetry class of the core
+(`PatternSpec.arcs`: one for C4 and for C6); see `turanlab.patterns`.
 
 ``eval_bound`` evaluates the closed-form upper bounds that accompany the
 solvers with high-precision arithmetic (mpmath) and records which formula
@@ -121,6 +119,14 @@ def _triple_hits(host: ThreeGraphHost, specs) -> Callable[[tuple[int, int, int]]
         return False
 
     return hits
+
+
+def _recheck(witness, best: int, find, specs) -> None:
+    """Raise unless `find` sees no pattern in the witness, of `best` edges."""
+    if any(find(witness, s) is not None for s in specs):
+        raise InvariantViolationError("witness failed the independent freeness re-check")
+    if witness.edge_count != best:
+        raise InvariantViolationError("witness edge count disagrees with the solve value")
 
 
 def _branch_and_bound(
@@ -278,6 +284,7 @@ def ex_exact(
         max_degree = max(n - 1, 0)
         host = GraphHost(n)
         hits = _edge_hits(host, specs)
+        build, find = Graph, find_in_graph
     elif host_kind == "3graph":
         if n > MAX_EX_THREE_VERTICES:
             raise CapExceededError(f"3-graph solver capped at n <= {MAX_EX_THREE_VERTICES}")
@@ -290,6 +297,7 @@ def ex_exact(
         max_degree = (n - 1) * (n - 2) // 2 if n >= 2 else 0
         host = ThreeGraphHost(n)
         hits = _triple_hits(host, specs)
+        build, find = ThreeGraph, find_expansion
     else:
         raise ValueError(f"unknown host kind {host_kind!r}")
 
@@ -310,15 +318,8 @@ def ex_exact(
 
     if best < 0:
         return SolveResult(0, None, nodes)
-    edges = [universe[i] for i in chosen]
-    if host_kind == "graph":
-        witness: Graph | ThreeGraph = Graph(n, edges)
-        misses = [find_in_graph(witness, s) is None for s in specs]
-    else:
-        witness = ThreeGraph(n, edges)
-        misses = [find_expansion(witness, s) is None for s in specs]
-    if not all(misses) or witness.edge_count != best:
-        raise InvariantViolationError("witness failed the independent freeness re-check")
+    witness = build(n, [universe[i] for i in chosen])
+    _recheck(witness, best, find, specs)
     return SolveResult(best, witness, nodes)
 
 
@@ -352,10 +353,7 @@ def z_exact(
     )
 
     witness = BipartiteGraph(m, n, [cells[i] for i in chosen])
-    if any(find_ordered_bipartite(witness, s) is not None for s in specs):
-        raise InvariantViolationError("witness failed the independent freeness re-check")
-    if witness.edge_count != best:
-        raise InvariantViolationError("witness edge count disagrees with the solve value")
+    _recheck(witness, best, find_ordered_bipartite, specs)
     return SolveResult(best, witness, nodes)
 
 
@@ -393,10 +391,7 @@ def z_expansion_exact(
     )
 
     witness = SemibipartiteThreeGraph(m, n, [cells[i] for i in chosen])
-    if any(find_expansion(witness, s) is not None for s in specs):
-        raise InvariantViolationError("witness failed the independent freeness re-check")
-    if witness.edge_count != best:
-        raise InvariantViolationError("witness edge count disagrees with the solve value")
+    _recheck(witness, best, find_expansion, specs)
     return SolveResult(best, witness, nodes)
 
 

@@ -181,6 +181,17 @@ def test_library_shapes():
     gr = grid_2x2()
     assert (gr.core.m + gr.core.n, gr.core.edge_count) == (9, 12)
     assert sorted((gr.core.m, gr.core.n)) == [4, 5]
+    # one anchored directed core edge per orbit of the core's automorphisms
+    arcs = {"C4": 1, "C6": 1, "K{2,3}": 2, "K{2,3} ordered": 2, "theta{1,3,3}": 4,
+            "grid2x2": 4, "K{2,2}+ core-in-V1": 1, "K{2,2}+ ordered": 2}
+    assert {text: len(parse_pattern(text).arcs) for text in arcs} == arcs
+    # derived values stay out of equality, hash and repr
+    assert k23 == complete_bipartite(2, 3) and k23 != k23.with_placement("ordered")
+    assert hash(k23) == hash((k23.core, False, "unordered", "K{2,3}"))
+    assert repr(k23) == (
+        "PatternSpec(core=BipartiteGraph(m=2, n=3, edges=6), expansion=False, "
+        "placement='unordered', name='K{2,3}')"
+    )
 
 
 def test_library_rejects():
