@@ -254,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         sp.add_argument("--seed", type=int, default=0)
+        sp.set_defaults(parser=sp)  # job_from_args reads the flag defaults from it
 
     sp = sub.add_parser("construct", help="build a named construction")
     sp.add_argument("kind", choices=("normgraph", "bipartite", "composed", "deletion"))
@@ -311,49 +312,77 @@ def _require(args, names: tuple[str, ...]) -> None:
         raise ValueError(f"missing required flags: {', '.join('--' + m for m in missing)}")
 
 
+class _ReadFlags:
+    """Parsed flags that remember which ones were read."""
+
+    def __init__(self, args: argparse.Namespace):
+        self._args = args
+        self.read = {"command", "output", "parser"}
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._args, name)
+
+
 def job_from_args(args: argparse.Namespace) -> JobSpec:
-    cmd = args.command
+    """The job a parsed command line asks for.
+
+    A flag set away from its default that the command, kind, quantity or
+    suite does not read is a malformed invocation, not a silent no-op.
+    """
+    flags = _ReadFlags(args)
+    cmd = flags.command
+    seeded = False
     if cmd == "construct":
-        if args.kind in ("normgraph", "bipartite"):
-            _require(args, ("q", "s"))
-            params = {"kind": args.kind, "q": args.q, "s": args.s}
-        elif args.kind == "composed":
-            _require(args, ("p", "s1", "s2"))
-            params = {"kind": args.kind, "p": args.p, "s1": args.s1, "s2": args.s2,
-                      "layer": args.layer}
+        if flags.kind in ("normgraph", "bipartite"):
+            _require(flags, ("q", "s"))
+            params = {"kind": flags.kind, "q": flags.q, "s": flags.s}
+        elif flags.kind == "composed":
+            _require(flags, ("p", "s1", "s2"))
+            params = {"kind": flags.kind, "p": flags.p, "s1": flags.s1, "s2": flags.s2,
+                      "layer": flags.layer}
         else:
-            _require(args, ("n", "pattern"))
-            params = {"kind": args.kind, "n": args.n, "pattern": args.pattern}
-        params["format"] = args.format
+            _require(flags, ("n", "pattern"))
+            params = {"kind": flags.kind, "n": flags.n, "pattern": flags.pattern}
+            seeded = True
+        params["format"] = flags.format
     elif cmd == "check":
-        keys = SUITES[args.suite].params
-        _require(args, keys)
-        params = {"suite": args.suite, **{k: getattr(args, k) for k in keys}}
+        keys = SUITES[flags.suite].params
+        _require(flags, keys)
+        params = {"suite": flags.suite, **{k: getattr(flags, k) for k in keys}}
+        seeded = SUITES[flags.suite].seeded
     elif cmd == "solve":
-        if args.quantity == "zexp":
-            _require(args, ("m", "ordered_pattern", "core_pattern"))
-            params = {"quantity": "zexp", "m": args.m, "n": args.n,
-                      "ordered_pattern": args.ordered_pattern,
-                      "core_pattern": args.core_pattern}
+        if flags.quantity == "zexp":
+            _require(flags, ("m", "ordered_pattern", "core_pattern"))
+            params = {"quantity": "zexp", "m": flags.m, "n": flags.n,
+                      "ordered_pattern": flags.ordered_pattern,
+                      "core_pattern": flags.core_pattern}
         else:
-            if not args.pattern:
+            if not flags.pattern:
                 raise ValueError("missing required flags: --pattern")
-            params = {"quantity": args.quantity, "n": args.n, "patterns": list(args.pattern)}
-            if args.quantity == "ex":
-                params["host_kind"] = args.host_kind
-                if args.degree_floor is not None:
-                    params["degree_floor"] = args.degree_floor
+            params = {"quantity": flags.quantity, "n": flags.n, "patterns": list(flags.pattern)}
+            if flags.quantity == "ex":
+                params["host_kind"] = flags.host_kind
+                if flags.degree_floor is not None:
+                    params["degree_floor"] = flags.degree_floor
             else:
-                _require(args, ("m",))
-                params["m"] = args.m
+                _require(flags, ("m",))
+                params["m"] = flags.m
     elif cmd == "scan":
-        params = {"patterns": list(args.pattern), "ns": list(args.n),
-                  "alphas": list(args.alpha), "host_kind": args.host_kind}
+        params = {"patterns": list(flags.pattern), "ns": list(flags.n),
+                  "alphas": list(flags.alpha), "host_kind": flags.host_kind}
     elif cmd == "bound":
-        params = {"bound_id": args.bound_id, "sets": list(getattr(args, "set"))}
+        params = {"bound_id": flags.bound_id, "sets": list(getattr(flags, "set"))}
     else:
-        params = {"inputs": list(args.inputs)}
-    return JobSpec(cmd, params, args.output, args.seed)
+        params = {"inputs": list(flags.inputs)}
+    seed = flags.seed if seeded else 0
+    defaults = args.parser
+    unread = [k for k, v in vars(args).items() if k not in flags.read and v != defaults.get_default(k)]
+    if unread:
+        job = [str(getattr(args, k)) for k in ("command", "kind", "suite", "quantity") if k in args]
+        names = ", ".join("--" + k.replace("_", "-") for k in unread)
+        raise ValueError(f"{' '.join(job)} does not use {names}")
+    return JobSpec(cmd, params, args.output, seed)
 
 
 def main(argv=None) -> int:

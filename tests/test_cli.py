@@ -338,6 +338,38 @@ class TestJobSpec:
                           "error": "KeyError: 'boom'", "exit": 1}
 
 
+class TestUnusedFlags:
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["solve", "z", "--m", "3", "--n", "3", "--pattern", "C4", "--degree-floor", "2"],
+             "solve z does not use --degree-floor"),
+            (["construct", "normgraph", "--q", "3", "--s", "2", "--n", "7"],
+             "construct normgraph does not use --n"),
+            (["construct", "bipartite", "--q", "3", "--s", "2", "--layer", "v1", "--seed", "4"],
+             "construct bipartite does not use --layer, --seed"),
+            (["solve", "zexp", "--m", "2", "--n", "2", "--ordered-pattern", "K{2,2}+",
+              "--core-pattern", "K{2,2}+", "--pattern", "C4"],
+             "solve zexp does not use --pattern"),
+            (["solve", "ex", "--n", "4", "--pattern", "C4", "--m", "3"],
+             "solve ex does not use --m"),
+            (["check", "pg-properties", "--q", "3", "--s", "2", "--count", "4"],
+             "check pg-properties does not use --count"),
+        ],
+    )
+    def test_flag_the_job_does_not_read_is_rejected(self, capsys, argv, error):
+        assert main(argv) == 2
+        status = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert status == {"command": argv[0], "status": "error", "error": error, "exit": 2}
+
+    def test_flags_the_job_reads_pass(self, capsys):
+        assert main(["check", "fullness", "--n", "6", "--count", "2", "--seed", "3"]) == 0
+        assert main(["solve", "z", "--m", "2", "--n", "2", "--pattern", "C4",
+                     "--host-kind", "graph"]) == 0  # a flag at its default is not "set"
+        status = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert status["status"] == "ok" and status["value"] == 3
+
+
 class TestPatternFiles:
     def test_pattern_from_file(self, tmp_path):
         core = {"kind": "bipartite", "m": 2, "n": 2,
