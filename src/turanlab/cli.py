@@ -376,8 +376,8 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
     else:
         params = {"inputs": list(flags.inputs)}
     seed = flags.seed if seeded else 0
-    defaults = args.parser
-    unread = [k for k, v in vars(args).items() if k not in flags.read and v != defaults.get_default(k)]
+    parser = args.parser
+    unread = [k for k, v in vars(args).items() if k not in flags.read and v != parser.get_default(k)]
     if unread:
         job = [str(getattr(args, k)) for k in ("command", "kind", "suite", "quantity") if k in args]
         names = ", ".join("--" + k.replace("_", "-") for k in unread)

@@ -45,16 +45,15 @@ def _path4(expansion=False, placement="unordered"):
     return PatternSpec(core, expansion, placement, "P4")
 
 
-def _p3_k2(placement="unordered"):
+def _p3_k2():
     """A path on three vertices plus a disjoint edge: a disconnected core
     whose components can swap their parts one at a time."""
-    core = BipartiteGraph(3, 2, [(0, 0), (1, 0), (2, 1)])
-    return PatternSpec(core, False, placement, "P3+K2")
+    return PatternSpec(BipartiteGraph(3, 2, [(0, 0), (1, 0), (2, 1)]), name="P3+K2")
 
 
-def _two_k2(placement="unordered"):
+def _two_k2():
     """Two disjoint edges."""
-    return PatternSpec(BipartiteGraph(2, 2, [(0, 0), (1, 1)]), False, placement, "2K2")
+    return PatternSpec(BipartiteGraph(2, 2, [(0, 0), (1, 1)]), name="2K2")
 
 
 def _draw_order(data, planted, universe, extra):
