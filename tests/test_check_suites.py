@@ -31,6 +31,8 @@ GOLDEN_CASES = (
     ({"suite": "fullness", "n": 8, "count": 10}, 1),
     ({"suite": "greedy-extend", "n": 8, "count": 10}, 1),
     ({"suite": "decomposition", "n": 8, "count": 10}, 1),
+    ({"suite": "greedy-extend", "n": 14, "count": 25}, 1),
+    ({"suite": "decomposition", "n": 14, "count": 25}, 1),
 )
 
 
