@@ -258,29 +258,29 @@ def decompose_3graph(h: ThreeGraph, v: int, s: int, t: int) -> Decomposition:
     if s < 1 or t < 1:
         raise ValueError("codegree threshold needs s, t >= 1")
     threshold = (s + 1) * (t + 1)
-    co = [0] * h.n
-    pivot_edges = 0
+    co = [0] * h.n  # the pivot's own tally is never read
+    rest = []
     for e in h.edges:
         if v in e:
-            pivot_edges += 1
             for u in e:
-                if u != v:
-                    co[u] += 1
+                co[u] += 1
+        else:
+            rest.append(e)
     v1 = tuple(u for u in range(h.n) if u != v and co[u] >= threshold)
     v2 = tuple(u for u in range(h.n) if u != v and co[u] < threshold)
-    in1 = set(v1)
+    m1 = 0
+    for u in v1:
+        m1 |= 1 << u
+    tally = [0, 0, 0, 0]  # non-pivot edges by their number of V1 vertices
+    for a, b, c in rest:
+        tally[(m1 >> a & 1) + (m1 >> b & 1) + (m1 >> c & 1)] += 1
     counts = {
-        "pivot": pivot_edges,
-        "inside_v1": 0,
-        "two_in_v1_one_in_v2": 0,
-        "one_in_v1_two_in_v2": 0,
-        "inside_v2": 0,
+        "pivot": h.edge_count - len(rest),
+        "inside_v1": tally[3],
+        "two_in_v1_one_in_v2": tally[2],
+        "one_in_v1_two_in_v2": tally[1],
+        "inside_v2": tally[0],
     }
-    names = ("inside_v2", "one_in_v1_two_in_v2", "two_in_v1_one_in_v2", "inside_v1")
-    for e in h.edges:
-        if v in e:
-            continue
-        counts[names[sum(1 for u in e if u in in1)]] += 1
     if sum(counts.values()) != h.edge_count:
         raise InvariantViolationError("region counts fail to partition the edges")
     return Decomposition(v, v1, v2, counts, h.edge_count)

@@ -649,6 +649,20 @@ class ThreeGraphHost(GraphHost):
         return self.left_mask, self.left_mask  # core-in-V1
 
 
+@lru_cache(maxsize=1)
+def _static_host(h: ThreeGraph | SemibipartiteThreeGraph) -> ThreeGraphHost:
+    """`ThreeGraphHost.of(h)` for the last static 3-graph asked about.
+
+    A read-only index shared by the searches that never change their host
+    (`find_expansion`, `heavy_shadow_graph`, `greedy_extend`): none may
+    mutate it.  Keyed by the host's value, so an equal copy shares it.  It
+    holds one entry because callers ask many questions of one host before
+    the next; a kept index per host would cost its pair-link dict for as
+    long as the host lives.
+    """
+    return ThreeGraphHost.of(h)
+
+
 def _iter_pattern_embeddings(
     spec: PatternSpec,
     adj,
@@ -755,7 +769,7 @@ def find_expansion(
     """
     if not spec.expansion:
         raise ValueError("graph pattern against a 3-graph host")
-    host = ThreeGraphHost.of(h)
+    host = _static_host(h)
     lm, rm = host.placement_masks(spec)
     combined_edges = spec.combined_edges
     for emb in _iter_pattern_embeddings(spec, host.adj, lm, rm):
@@ -844,8 +858,12 @@ def expansion_through_triple(
 
 
 def heavy_shadow_graph(h: ThreeGraph, threshold: int) -> Graph:
-    """Graph of shadow pairs whose pair degree in h is >= threshold."""
-    pair_link = ThreeGraphHost.of(h).pair_link
+    """Graph of shadow pairs whose pair degree in h is >= threshold.
+
+    The pair links come from the read-only index of `_static_host`, so
+    asking for several thresholds of one host builds them once.
+    """
+    pair_link = _static_host(h).pair_link
     edges = [pair for pair, link in pair_link.items() if link.bit_count() >= threshold]
     return Graph(h.n, edges)
 
@@ -856,6 +874,8 @@ def greedy_extend(h: ThreeGraph, s_side: tuple[int, ...], t_side: tuple[int, ...
     Requires every core pair e to satisfy d_h(e) >= s*t + s + t; with that
     floor a fresh apex always exists (at most s + t + s*t - 1 vertices are
     ever excluded).  Apexes are chosen smallest-first in core edge order.
+    The core pairs' links are read from the read-only index of
+    `_static_host`, which the many cores asked of one host share.
     """
     s, t = len(s_side), len(t_side)
     if s < 1 or t < 1:
@@ -863,17 +883,11 @@ def greedy_extend(h: ThreeGraph, s_side: tuple[int, ...], t_side: tuple[int, ...
     if len(set(s_side) | set(t_side)) != s + t:
         raise ValueError("core vertices must be distinct")
     core_pairs = [(a, b) if a < b else (b, a) for a in s_side for b in t_side]
-    pair_link = dict.fromkeys(core_pairs, 0)
-    for a, b, c in h.edges:  # the links of the core pairs, and no others
-        if (a, b) in pair_link:
-            pair_link[(a, b)] |= 1 << c
-        if (a, c) in pair_link:
-            pair_link[(a, c)] |= 1 << b
-        if (b, c) in pair_link:
-            pair_link[(b, c)] |= 1 << a
+    pair_link = _static_host(h).pair_link
+    links = [pair_link.get(key, 0) for key in core_pairs]
     need = s * t + s + t
-    for key in core_pairs:
-        deg = pair_link[key].bit_count()
+    for key, link in zip(core_pairs, links):
+        deg = link.bit_count()
         if deg < need:
             raise ValueError(f"pair {key} has degree {deg} < {need}; extension not guaranteed")
     core_mask = 0
@@ -881,8 +895,8 @@ def greedy_extend(h: ThreeGraph, s_side: tuple[int, ...], t_side: tuple[int, ...
         core_mask |= 1 << v
     used = 0
     apexes = []
-    for key in core_pairs:
-        avail = pair_link[key] & ~core_mask & ~used
+    for link in links:
+        avail = link & ~core_mask & ~used
         if not avail:
             raise InvariantViolationError("no apex available despite degree floor")
         w = (avail & -avail).bit_length() - 1
@@ -901,31 +915,39 @@ def _witness_holds(h, spec: PatternSpec, core_map, core_edges, apexes=()) -> boo
     the placement asks for, and every core edge, with its apex when apexes
     are given, is an edge of the host.
 
-    Labels are combined (a host without parts is its own left and right).
-    Each edge is bisected for in the sorted host edges; on a host with parts
-    its last label, the right one, loses m, so a left label finds nothing.
+    Labels are combined (a host without parts is its own left and right):
+    the left part is [0, left_end) and the right part [m, end).  Each edge
+    is bisected for in the sorted host edges; on a host with parts its last
+    label, the right one, loses m, so a left label finds nothing.
     """
     if isinstance(h, (Graph, ThreeGraph)):
-        m, left, right = 0, range(h.n), range(h.n)
+        m, left_end, end = 0, h.n, h.n
     else:
-        m, left, right = h.m, range(h.m), range(h.m, h.m + h.n)
+        m, left_end, end = h.m, h.m, h.m + h.n
     k = spec.core.m
     if len(core_map) != spec.vertex_count or len(set(core_map)) != len(core_map):
         return False
-    if not all(v in left or v in right for v in core_map):
+    if not all(0 <= v < end for v in core_map):
         return False
     if spec.placement == "ordered" and not (
-        all(v in left for v in core_map[:k]) and all(v in right for v in core_map[k:])
+        all(v < left_end for v in core_map[:k]) and all(m <= v for v in core_map[k:])
     ):
         return False
-    if spec.placement == "core-in-V1" and not all(v in left for v in core_map):
+    if spec.placement == "core-in-V1" and not all(v < left_end for v in core_map):
         return False
     edges = h.edges
+    count = len(edges)
     for i, (a, b) in enumerate(core_edges):
-        *lower, last = sorted((core_map[a], core_map[b], *apexes[i : i + 1]))
-        key = (*lower, last - m)
+        x, y = core_map[a], core_map[b]
+        if x > y:
+            x, y = y, x
+        if not apexes:
+            key = (x, y - m)
+        else:
+            w = apexes[i]
+            key = (w, x, y - m) if w < x else (x, w, y - m) if w < y else (x, y, w - m)
         j = bisect_left(edges, key)
-        if j == len(edges) or edges[j] != key:
+        if j == count or edges[j] != key:
             return False
     return True
 

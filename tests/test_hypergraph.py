@@ -47,6 +47,31 @@ def test_graph_rejects_bad_input():
         SemibipartiteThreeGraph(3, 2, [(0, 0, 1)])
 
 
+@pytest.mark.parametrize(
+    "n,edges,message",
+    [
+        (4, [(0, 1, 2), (3, 1)], "not a 3-set: (3, 1)"),
+        (4, [[0, 1, 2, 3]], "not a 3-set: [0, 1, 2, 3]"),
+        (4, [(2, 1, 2)], "not a 3-set: (2, 1, 2)"),
+        (4, [(2, 1, 4)], "edge (2, 1, 4) out of range for n=4"),
+        (4, [(0, -1, 2)], "edge (0, -1, 2) out of range for n=4"),
+        # the first bad triple in input order names the error
+        (4, [(0, 1, 7), (1, 1, 2)], "edge (0, 1, 7) out of range for n=4"),
+        (4, [(1, 1, 2), (0, 1, 7)], "not a 3-set: (1, 1, 2)"),
+        (4, [(0, 1, 2), (1, 2, 3), (1, 0, 2)], "duplicate edges in input"),
+    ],
+)
+def test_three_graph_names_the_first_bad_triple(n, edges, message):
+    with pytest.raises(ValueError) as info:
+        ThreeGraph(n, edges)
+    assert str(info.value) == message
+
+
+def test_three_graph_accepts_a_generator_in_any_order():
+    h = ThreeGraph(5, (t[::-1] for t in [(2, 3, 4), (0, 1, 2), (0, 1, 4)]))
+    assert h.edges == ((0, 1, 2), (0, 1, 4), (2, 3, 4))
+
+
 def test_shadow_example():
     h = ThreeGraph(4, [(0, 1, 2), (0, 1, 3)])
     assert shadow(h, 1) == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}
