@@ -30,9 +30,16 @@ eligible apexes.
 Host state lives here too: `GraphHost` holds adjacency bitmasks and part
 masks, and `ThreeGraphHost` adds pair links (pair -> bitmask of third
 vertices) over a shadow it keeps in step with every added or removed triple,
-so no search rebuilds the shadow.  The solvers grow a host edge by edge; the
-finders copy a static one.  The solver-facing checks `pattern_through_edge`
-and `expansion_through_triple` ask whether the edge (or triple) just added
+so no search rebuilds the shadow.  The solvers grow a host edge by edge.
+The 3-graph searches that never change their host (`find_expansion`,
+`heavy_shadow_graph`, `greedy_extend`) share one read-only index,
+`_static_host`, built once for the last static 3-graph asked about: none of
+them may mutate it.  It keeps one entry, not one per host, because callers
+ask many questions of one host before moving on, and a kept index would
+hold each host's pair links for as long as the host lives.
+
+The solver-facing checks `pattern_through_edge` and
+`expansion_through_triple` ask whether the edge (or triple) just added
 completes a copy, and both ask it of one anchored check, `_copy_through_pair`:
 does an accept callback (at rank 3, the apex match forced onto the anchored
 core edge) take some copy with a core edge on the host pair?  It anchors
@@ -651,15 +658,9 @@ class ThreeGraphHost(GraphHost):
 
 @lru_cache(maxsize=1)
 def _static_host(h: ThreeGraph | SemibipartiteThreeGraph) -> ThreeGraphHost:
-    """`ThreeGraphHost.of(h)` for the last static 3-graph asked about.
-
-    A read-only index shared by the searches that never change their host
-    (`find_expansion`, `heavy_shadow_graph`, `greedy_extend`): none may
-    mutate it.  Keyed by the host's value, so an equal copy shares it.  It
-    holds one entry because callers ask many questions of one host before
-    the next; a kept index per host would cost its pair-link dict for as
-    long as the host lives.
-    """
+    """`ThreeGraphHost.of(h)` for the last static 3-graph asked about: a
+    read-only index, keyed by the host's value (an equal copy shares it),
+    with one entry for the reasons in the module docstring."""
     return ThreeGraphHost.of(h)
 
 
@@ -766,6 +767,9 @@ def find_expansion(
     Core embeddings are enumerated in the shadow; each is completed by a
     maximum matching between core edges and distinct eligible apexes, so a
     core whose edges would have to share an apex is (correctly) rejected.
+    Shadow and pair links come from the one-entry, read-only index of
+    `_static_host`, which a caller's next question about the same host
+    reuses.
     """
     if not spec.expansion:
         raise ValueError("graph pattern against a 3-graph host")
@@ -860,8 +864,9 @@ def expansion_through_triple(
 def heavy_shadow_graph(h: ThreeGraph, threshold: int) -> Graph:
     """Graph of shadow pairs whose pair degree in h is >= threshold.
 
-    The pair links come from the read-only index of `_static_host`, so
-    asking for several thresholds of one host builds them once.
+    The pair links come from the one-entry, read-only index of
+    `_static_host`, so asking for several thresholds of one host builds
+    them once.
     """
     pair_link = _static_host(h).pair_link
     edges = [pair for pair, link in pair_link.items() if link.bit_count() >= threshold]
@@ -874,7 +879,7 @@ def greedy_extend(h: ThreeGraph, s_side: tuple[int, ...], t_side: tuple[int, ...
     Requires every core pair e to satisfy d_h(e) >= s*t + s + t; with that
     floor a fresh apex always exists (at most s + t + s*t - 1 vertices are
     ever excluded).  Apexes are chosen smallest-first in core edge order.
-    The core pairs' links are read from the read-only index of
+    The core pairs' links are read from the one-entry, read-only index of
     `_static_host`, which the many cores asked of one host share.
     """
     s, t = len(s_side), len(t_side)
@@ -936,7 +941,6 @@ def _witness_holds(h, spec: PatternSpec, core_map, core_edges, apexes=()) -> boo
     if spec.placement == "core-in-V1" and not all(v < left_end for v in core_map):
         return False
     edges = h.edges
-    count = len(edges)
     for i, (a, b) in enumerate(core_edges):
         x, y = core_map[a], core_map[b]
         if x > y:
@@ -947,7 +951,7 @@ def _witness_holds(h, spec: PatternSpec, core_map, core_edges, apexes=()) -> boo
             w = apexes[i]
             key = (w, x, y - m) if w < x else (x, w, y - m) if w < y else (x, y, w - m)
         j = bisect_left(edges, key)
-        if j == count or edges[j] != key:
+        if j == len(edges) or edges[j] != key:
             return False
     return True
 
