@@ -202,22 +202,6 @@ class BipartiteGraph:
         return f"BipartiteGraph(m={self.m}, n={self.n}, edges={len(self.edges)})"
 
 
-def _checked_triples(n: int, edges: list) -> list[tuple[int, int, int]]:
-    """Sorted normalized triples, or the error for the first bad one in
-    input order: not a 3-set, out of range, or a duplicate."""
-    norm_edges = []
-    for e in edges:
-        t = tuple(sorted(e))
-        if len(t) != 3 or len(set(t)) != 3:
-            raise ValueError(f"not a 3-set: {e}")
-        if not all(0 <= v < n for v in t):
-            raise ValueError(f"edge {e} out of range for n={n}")
-        norm_edges.append(t)
-    if len(set(norm_edges)) != len(norm_edges):
-        raise ValueError("duplicate edges in input")
-    return sorted(norm_edges)
-
-
 class ThreeGraph:
     """3-uniform hypergraph on vertices 0..n-1."""
 
@@ -226,16 +210,17 @@ class ThreeGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         if n < 0:
             raise ValueError("n must be >= 0")
-        edges = list(edges)
-        try:
-            norm_edges = sorted([tuple(sorted(e)) for e in edges])
-            valid = all(0 <= a < b < c < n for a, b, c in norm_edges) and not any(
-                map(tuple.__eq__, norm_edges, norm_edges[1:])
-            )
-        except (TypeError, ValueError):  # a malformed triple: named below
-            valid = False
-        if not valid:
-            norm_edges = _checked_triples(n, edges)
+        norm_edges = []
+        for e in edges:
+            t = tuple(sorted(e))
+            if not (len(t) == 3 and 0 <= t[0] < t[1] < t[2] < n):
+                if len(t) != 3 or len(set(t)) != 3:
+                    raise ValueError(f"not a 3-set: {e}")
+                raise ValueError(f"edge {e} out of range for n={n}")
+            norm_edges.append(t)
+        norm_edges.sort()
+        if any(map(tuple.__eq__, norm_edges, norm_edges[1:])):
+            raise ValueError("duplicate edges in input")
         self.n = n
         self.edges = tuple(norm_edges)
         _check_handshake(self.degree_sequence(), 3, len(self.edges))

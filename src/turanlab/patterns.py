@@ -656,12 +656,21 @@ class ThreeGraphHost(GraphHost):
         return self.left_mask, self.left_mask  # core-in-V1
 
 
-@lru_cache(maxsize=1)
+_last_static: tuple = (None, None)
+
+
 def _static_host(h: ThreeGraph | SemibipartiteThreeGraph) -> ThreeGraphHost:
     """`ThreeGraphHost.of(h)` for the last static 3-graph asked about: a
-    read-only index, keyed by the host's value (an equal copy shares it),
-    with one entry for the reasons in the module docstring."""
-    return ThreeGraphHost.of(h)
+    read-only index with one entry, for the reasons in the module docstring.
+    It is keyed by the host object, not its value, so a lookup hashes
+    nothing; the entry keeps its host alive, so no other object can take
+    that identity while it is stored."""
+    global _last_static
+    last, host = _last_static
+    if last is not h:
+        host = ThreeGraphHost.of(h)
+        _last_static = (h, host)
+    return host
 
 
 def _iter_pattern_embeddings(
@@ -920,36 +929,29 @@ def _witness_holds(h, spec: PatternSpec, core_map, core_edges, apexes=()) -> boo
     the placement asks for, and every core edge, with its apex when apexes
     are given, is an edge of the host.
 
-    Labels are combined (a host without parts is its own left and right):
-    the left part is [0, left_end) and the right part [m, end).  Each edge
-    is bisected for in the sorted host edges; on a host with parts its last
-    label, the right one, loses m, so a left label finds nothing.
+    Labels are combined (a host without parts is its own left and right).
+    Each edge is bisected for in the sorted host edges; on a host with parts
+    its last label, the right one, loses m, so a left label finds nothing.
     """
     if isinstance(h, (Graph, ThreeGraph)):
-        m, left_end, end = 0, h.n, h.n
+        m, left, right = 0, range(h.n), range(h.n)
     else:
-        m, left_end, end = h.m, h.m, h.m + h.n
+        m, left, right = h.m, range(h.m), range(h.m, h.m + h.n)
     k = spec.core.m
     if len(core_map) != spec.vertex_count or len(set(core_map)) != len(core_map):
         return False
-    if not all(0 <= v < end for v in core_map):
+    if not all(v in left or v in right for v in core_map):
         return False
     if spec.placement == "ordered" and not (
-        all(v < left_end for v in core_map[:k]) and all(m <= v for v in core_map[k:])
+        all(v in left for v in core_map[:k]) and all(v in right for v in core_map[k:])
     ):
         return False
-    if spec.placement == "core-in-V1" and not all(v < left_end for v in core_map):
+    if spec.placement == "core-in-V1" and not all(v in left for v in core_map):
         return False
     edges = h.edges
     for i, (a, b) in enumerate(core_edges):
-        x, y = core_map[a], core_map[b]
-        if x > y:
-            x, y = y, x
-        if not apexes:
-            key = (x, y - m)
-        else:
-            w = apexes[i]
-            key = (w, x, y - m) if w < x else (x, w, y - m) if w < y else (x, y, w - m)
+        *lower, last = sorted((core_map[a], core_map[b], *apexes[i : i + 1]))
+        key = (*lower, last - m)
         j = bisect_left(edges, key)
         if j == len(edges) or edges[j] != key:
             return False

@@ -14,8 +14,9 @@ on a freshly built host.
 Every example asks about hosts A, B, A and then an equal but distinct copy
 of A, in that order.  B often has as many vertices as A, and two times in
 three as many triples too, one of them moved: an index kept for the wrong
-host, or keyed by anything short of the host's value, returns B's links
-for A (or A's for B) and fails a comparison.
+host, or keyed by anything short of the host itself, returns B's links for
+A (or A's for B) and fails a comparison.  The copy of A must give A's
+results.
 """
 
 import itertools
