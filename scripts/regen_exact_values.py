@@ -30,6 +30,7 @@ ROWS = [
     ("ex", {"n": 8, "pattern": "C4"}, "kst_ex", {"n": 8, **K22}),
     ("ex", {"n": 8, "pattern": "C4", "degree_floor": 7}, "kst_ex", {"n": 8, **K22}),
     ("ex", {"n": 9, "pattern": "C4"}, "kst_ex", {"n": 9, **K22}),
+    ("ex", {"n": 10, "pattern": "C4"}, "kst_ex", {"n": 10, **K22}),
     ("ex", {"n": 5, "pattern": "K{2,2}+", "host": "3graph"}, "", {}),
     ("ex", {"n": 6, "pattern": "K{2,2}+", "host": "3graph"}, "", {}),
     ("ex", {"n": 7, "pattern": "K{2,2}+", "host": "3graph"}, "", {}),

@@ -264,7 +264,7 @@ def test_05_solver_values_vs_brute_force_under_120s():
 def test_06_certificates_dominate_table_under_10s():
     t0 = time.monotonic()
     rows = _load_rows()
-    assert len(rows) == 24
+    assert len(rows) == 25
     checked = 0
     for row in rows:
         if not row["bound_id"]:
@@ -272,7 +272,7 @@ def test_06_certificates_dominate_table_under_10s():
         cert = eval_bound(row["bound_id"], _int_params(row["bound_params"]))
         assert float(row["value"]) <= float(cert.value) + 1e-6, row
         checked += 1
-    assert checked == 20
+    assert checked == 21
     _finish(6, t0, 10.0, f"{checked} table rows below certificate, slack 1e-6")
 
 

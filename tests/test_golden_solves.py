@@ -69,7 +69,7 @@ def _fixture():
 
 def test_fixture_covers_every_table_row():
     rows = _rows()
-    assert len(rows) == 24
+    assert len(rows) == 25
     assert set(_fixture()) == set(rows)
 
 
