@@ -20,18 +20,23 @@ universe depth first, trying inclusion before exclusion, and prunes a
 branch when (i) the new edge completes a forbidden pattern, (ii) the
 incumbent cannot be beaten even if every remaining edge were added, (iii)
 symmetry breaking rules the branch out: tracked degrees must not increase
-with the vertex label, checked where a vertex's degree becomes final, and
-for ``z_exact`` and ``z_expansion_exact`` the right part's columns of the
-row-major universe must be in non-increasing lex order, checked at every
-row end, or (iv) the degree floor can no longer be met: with symmetry
-breaking on, vertex 0 carries the largest degree of every surviving host,
-so only its degree is tested; with it off, no vertex may still reach the
-floor.  All of these are exact: every host has a relabelled copy that
-passes (iii), with the same edge count and maximum degree.  Because
-inclusion is tried first and the incumbent is replaced only on strict
-improvement, the reported witness is the lexicographically smallest optimal
-edge set among the hosts the symmetry-reduced search visits.  Every witness
-is re-verified against the full pattern finders before being returned.
+with the vertex label, checked where a vertex's degree becomes final; there
+the vertex u just made final also caps every later vertex, so the branch is
+cut unless the final degrees of 0..u plus deg[u] for each later vertex
+could beat the incumbent (this needs degrees to become final in label
+order, as they do in all three entry points); and for ``z_exact`` and ``z_expansion_exact`` the
+right part's columns of the row-major universe must be in non-increasing
+lex order, checked at every row end, or (iv) the degree floor can no
+longer be met: with symmetry breaking on, vertex 0 carries the largest
+degree of every surviving host, so only its degree is tested; with it off,
+no vertex may still reach the floor.  All of these are exact: every host
+has a relabelled copy that passes (iii), with the same edge count and
+maximum degree, and the cap only drops branches that cannot strictly beat
+the incumbent.  Because inclusion is tried first and the incumbent is
+replaced only on strict improvement, the reported witness is the
+lexicographically smallest optimal edge set among the hosts the
+symmetry-reduced search visits.  Every witness is re-verified against the
+full pattern finders before being returned.
 
 Rule (i) is the hot path: one `pattern_through_edge` or
 `expansion_through_triple` call per included edge.  Both anchor on the new
@@ -150,7 +155,13 @@ def _branch_and_bound(
     vertex's degree is final one past the last edge that raises it; with
     ``symmetry`` set, a branch is cut there when that degree exceeds its
     predecessor's, so every surviving leaf has non-increasing degrees over
-    the tracked vertices that some edge raises.
+    the tracked vertices that some edge raises.  At the same point the
+    branch is cut when ``sum(deg[:u + 1]) + (nv_deg - u - 1) * deg[u]``,
+    for the largest vertex u made final there, cannot beat the incumbent
+    once divided by ``divisor``: on a surviving leaf no later vertex
+    exceeds ``deg[u]``.  The cap needs degrees to become final in label
+    order, so that every vertex below u is final once u is; the lex edge
+    universes of all three entry points have that order.
 
     With ``floor`` set, a branch is cut once no tracked vertex can still
     reach that degree.  With ``symmetry`` set as well, every tracked vertex
@@ -212,9 +223,9 @@ def _branch_and_bound(
                 if deg[u] > deg[u - 1]:
                     return
             u = us[-1]
-            # degrees of vertices >= u are capped by deg[u-1] on any
-            # surviving leaf, bounding the total edge count
-            cap = sum(deg[:u]) + (nv_deg - u) * deg[u - 1]
+            # vertices up to u are final and every later degree is capped
+            # by deg[u] on any surviving leaf, bounding the total edge count
+            cap = sum(deg[:u + 1]) + (nv_deg - u - 1) * deg[u]
             if cap // divisor <= best:
                 return
         if cols is not None and i and i % row_width == 0:
