@@ -705,7 +705,11 @@ def _side_masks(
 
 
 def find_in_graph(g: Graph, spec: PatternSpec) -> EmbeddingWitness | None:
-    """First copy of a graph pattern in a plain graph host, or None."""
+    """First copy of a graph pattern in a plain graph host, or None.
+
+    A host with fewer vertices than the pattern is answered None without a
+    search.
+    """
     if spec.expansion:
         raise ValueError("expansion pattern against a graph host")
     if spec.placement != "unordered":
@@ -718,7 +722,8 @@ def find_ordered_bipartite(g: BipartiteGraph, spec: PatternSpec) -> EmbeddingWit
 
     placement=ordered keeps the core's first part on the host's left side;
     unordered tries both orientations.  Witness labels are combined (right
-    part shifted by g.m).
+    part shifted by g.m).  A host with fewer vertices than the pattern is
+    answered None without a search.
     """
     if spec.expansion:
         raise ValueError("expansion pattern against a bipartite graph host")
@@ -728,6 +733,8 @@ def find_ordered_bipartite(g: BipartiteGraph, spec: PatternSpec) -> EmbeddingWit
 
 
 def _first_copy(host: GraphHost, spec: PatternSpec) -> EmbeddingWitness | None:
+    if spec.vertex_count > len(host.adj):
+        return None
     emb = next(_iter_pattern_embeddings(spec, host.adj, host.left_mask, host.right_mask), None)
     return None if emb is None else EmbeddingWitness(emb)
 
@@ -778,12 +785,15 @@ def find_expansion(
     core whose edges would have to share an apex is (correctly) rejected.
     Shadow and pair links come from the one-entry, read-only index of
     `_static_host`, which a caller's next question about the same host
-    reuses.
+    reuses.  A host with fewer vertices than the expansion's v(F) + |F| is
+    answered None without a search.
     """
     if not spec.expansion:
         raise ValueError("graph pattern against a 3-graph host")
     host = _static_host(h)
     lm, rm = host.placement_masks(spec)
+    if spec.vertex_count + spec.core.edge_count > len(host.adj):
+        return None
     combined_edges = spec.combined_edges
     for emb in _iter_pattern_embeddings(spec, host.adj, lm, rm):
         witness = _try_apex_match(emb, combined_edges, host.pair_link)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -450,6 +451,99 @@ def test_semibipartite_expansion_matches_oracle():
                 hits += 1
                 assert verify_expansion_witness(h, spec, got)
     assert hits > 8
+
+
+def _padded(host, extra):
+    """The same host with `extra` more isolated vertices: the same copies,
+    but enough vertices that a finder runs its full search."""
+    if isinstance(host, Graph):
+        return Graph(host.n + extra, host.edges)
+    if isinstance(host, BipartiteGraph):
+        return BipartiteGraph(host.m + extra, host.n, host.edges)
+    if isinstance(host, ThreeGraph):
+        return ThreeGraph(host.n + extra, host.edges)
+    return SemibipartiteThreeGraph(host.m, host.n + extra, host.edges)
+
+
+# (finder, pattern, random host builder (rng, vertex count, density), brute
+# force); at density 1 a builder makes a complete host, which holds the
+# pattern once it has the pattern's vertex count (v(F) + |F| for an
+# expansion)
+SIZE_CASES = [
+    pytest.param(find_in_graph, even_cycle(6), _random_graph, _brute_graph, id="graph-C6"),
+    pytest.param(
+        find_in_graph, complete_bipartite(2, 3), _random_graph, _brute_graph, id="graph-K{2,3}"
+    ),
+    pytest.param(
+        find_ordered_bipartite,
+        complete_bipartite(2, 3, placement="ordered"),
+        lambda rng, k, p: _random_bipartite(rng, 2, k - 2, p),
+        _brute_bipartite,
+        id="bipartite-K{2,3} ordered",
+    ),
+    pytest.param(
+        find_ordered_bipartite,
+        even_cycle(6),
+        lambda rng, k, p: _random_bipartite(rng, 3, k - 3, p),
+        _brute_bipartite,
+        id="bipartite-C6",
+    ),
+    pytest.param(
+        find_expansion,
+        complete_bipartite(1, 2, expansion=True),
+        _random_three_graph,
+        _brute_expansion,
+        id="3graph-K{1,2}+",
+    ),
+    pytest.param(
+        find_expansion,
+        complete_bipartite(2, 2, expansion=True),
+        _random_three_graph,
+        _brute_expansion,
+        id="3graph-K{2,2}+",
+    ),
+    pytest.param(
+        find_expansion,
+        complete_bipartite(1, 2, expansion=True, placement="core-in-V1"),
+        lambda rng, k, p: _random_semibipartite(rng, 3, k - 3, p),
+        _brute_expansion,
+        id="semibipartite-K{1,2}+ core-in-V1",
+    ),
+]
+
+
+def _needed(spec):
+    return spec.vertex_count + (spec.core.edge_count if spec.expansion else 0)
+
+
+@pytest.mark.parametrize("find,spec,build,brute", SIZE_CASES)
+def test_finders_answer_too_small_hosts_without_search(find, spec, build, brute):
+    # one vertex short of the pattern, a finder answers None at once; the
+    # host padded with one isolated vertex gets the full search, which must
+    # agree.  At the pattern's own size the complete host holds a copy, so
+    # the early exit does not fire there
+    rng = random.Random(15)
+    k = _needed(spec)
+    assert find(build(rng, k, 1.0), spec) is not None
+    for p in (1.0, 0.9, 0.7):
+        small = build(rng, k - 1, p)
+        assert find(small, spec) is None
+        assert find(_padded(small, 1), spec) is None
+        assert brute(small, spec) is None
+        host = build(rng, k, p)
+        assert (find(host, spec) is None) == (brute(host, spec) is None)
+
+
+def test_find_expansion_skips_a_dense_host_too_small_for_c6_plus():
+    # C6+ needs 6 + 6 = 12 vertices.  On this 11-vertex host of 137
+    # triples, the full search enumerates every C6 of the shadow for about
+    # 9 s before answering None
+    h = _random_three_graph(random.Random(0), 11, 0.85)
+    spec = even_cycle(6, expansion=True)
+    t0 = time.perf_counter()
+    assert find_expansion(h, spec) is None
+    assert time.perf_counter() - t0 < 1.0
+    assert find_expansion(h, complete_bipartite(2, 2, expansion=True)) is not None
 
 
 # -- host state --
