@@ -179,10 +179,8 @@ def test_ex_c4_witness_is_lex_smallest():
 
 def test_ex_c6_search_is_pinned():
     # value, search size and witness of the one free C6 graph solve in the
-    # suite; the value and witness were recorded when the anchored check
-    # still tried every core edge in both directions, and anchoring fewer
-    # edges must keep all three.  The size fell from 23,932 to 10,105 when
-    # the symmetry cap came to bound later degrees by the last final one
+    # suite: a change to the anchored check must keep all three, and a
+    # sharper symmetry cut may move only the search size
     r = ex_exact(7, parse_pattern("C6"))
     assert (r.value, r.nodes_explored) == (13, 10105)
     assert content_hash(r.witness) == "120979bd02b8f7d20df7cf32b5b4ddf56e65fa48"
@@ -494,8 +492,8 @@ def is_heavy(quantity, params):
 
 
 def test_regression_table_recompute():
-    # heavy rows (8-vertex ex, 4x4 zexp) are re-derived by the acceptance
-    # suite; everything else is recomputed here
+    # heavy rows (graph ex at n >= 8, 4x4 zexp) are re-derived by
+    # tests/test_golden_solves.py; everything else is recomputed here
     rows = load_rows()
     assert len(rows) == 25
     checked = 0
