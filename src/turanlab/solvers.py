@@ -24,17 +24,17 @@ with the vertex label, checked where a vertex's degree becomes final; there
 the vertex u just made final also caps every later vertex, so the branch is
 cut unless the final degrees of 0..u plus deg[u] for each later vertex
 could beat the incumbent (this needs degrees to become final in label
-order, as they do in all three entry points); and for ``z_exact`` and ``z_expansion_exact`` the
-right part's columns of the row-major universe must be in non-increasing
-lex order, checked at every row end, or (iv) the degree floor can no
-longer be met: with symmetry breaking on, vertex 0 carries the largest
-degree of every surviving host, so only its degree is tested; with it off,
-no vertex may still reach the floor.  All of these are exact: every host
-has a relabelled copy that passes (iii), with the same edge count and
-maximum degree, and the cap only drops branches that cannot strictly beat
-the incumbent.  Because inclusion is tried first and the incumbent is
-replaced only on strict improvement, the reported witness is the
-lexicographically smallest optimal edge set among the hosts the
+order, as they do in all three entry points); and for ``z_exact`` and
+``z_expansion_exact`` the right part's columns of the row-major universe
+must be in non-increasing lex order, checked at every row end, or (iv) the
+degree floor can no longer be met: with symmetry breaking on, vertex 0
+carries the largest degree of every surviving host, so only its degree is
+tested; with it off, no vertex may still reach the floor.  All of these are
+exact: every host has a relabelled copy that passes (iii), with the same
+edge count and maximum degree, and the cap only drops branches that cannot
+strictly beat the incumbent.  Because inclusion is tried first and the
+incumbent is replaced only on strict improvement, the reported witness is
+the lexicographically smallest optimal edge set among the hosts the
 symmetry-reduced search visits.  Every witness is re-verified against the
 full pattern finders before being returned.
 

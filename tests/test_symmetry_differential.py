@@ -32,6 +32,7 @@ FIXTURE = Path(__file__).resolve().parent / "data" / "symmetry_witnesses.json"
 Z_PATTERNS = ("K{1,2}", "K{2,2}", "K{2,3} ordered", "C6")
 Z_CELLS = [(m, n) for m in range(1, 17) for n in range(1, 17) if m * n <= 16]
 
+ZEXP_CELLS = [(m, n) for m in range(1, 4) for n in range(1, 4)]
 ZEXP_ORDERED = ("K{2,2}+ ordered", "K{1,1}+ ordered")
 ZEXP_CORE = "K{2,2}+ core-in-V1"
 
@@ -47,9 +48,6 @@ FLOOR_3GRAPH_CELLS = [
     for n in range(3, 7)
     for floor in range(1, (n - 1) * (n - 2) // 2 + 1)
 ]
-
-
-ZEXP_CELLS = [(m, n) for m in range(1, 4) for n in range(1, 4)]
 
 
 def _z_cell(m, n, text):
