@@ -251,12 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.set_defaults(parser=sp)  # job_from_args reads the flag defaults from it
+    def command(name: str, summary: str, **defaults):
+        # a flag left out stays out of the namespace, so job_from_args can
+        # tell a typed flag from an absent one; it applies these defaults
+        sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        sp.set_defaults(flag_defaults={"output": None, "seed": 0, **defaults})
+        sp.add_argument("-o", "--output", help="output path (default stdout)")
+        sp.add_argument("--seed", type=int, help="random seed (default 0)")
+        return sp
 
-    sp = sub.add_parser("construct", help="build a named construction")
+    sp = command("construct", "build a named construction", layer="hypergraph", format="json")
     sp.add_argument("kind", choices=("normgraph", "bipartite", "composed", "deletion"))
     sp.add_argument("--q", type=int)
     sp.add_argument("--s", type=int)
@@ -265,43 +269,37 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s2", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--pattern")
-    sp.add_argument("--layer", choices=("hypergraph", "v1", "cross"), default="hypergraph")
-    sp.add_argument("--format", choices=("json", "graph6"), default="json")
-    common(sp)
+    sp.add_argument("--layer", choices=("hypergraph", "v1", "cross"))
+    sp.add_argument("--format", choices=("json", "graph6"))
 
-    sp = sub.add_parser("check", help="run a named invariant suite")
+    sp = command("check", "run a named invariant suite", **SUITE_DEFAULTS)
     sp.add_argument("suite", choices=tuple(SUITES))
     for key in SUITE_PARAMS:
-        sp.add_argument(f"--{key}", type=int, default=SUITE_DEFAULTS.get(key))
-    common(sp)
+        sp.add_argument(f"--{key}", type=int)
 
-    sp = sub.add_parser("solve", help="exact optimum for a host family")
+    sp = command("solve", "exact optimum for a host family", pattern=[], host_kind="graph")
     sp.add_argument("quantity", choices=("ex", "z", "zexp"))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int)
-    sp.add_argument("--pattern", action="append", default=[])
-    sp.add_argument("--host-kind", choices=("graph", "3graph"), default="graph")
-    sp.add_argument("--degree-floor", type=int, default=None)
+    sp.add_argument("--pattern", action="append")
+    sp.add_argument("--host-kind", choices=("graph", "3graph"))
+    sp.add_argument("--degree-floor", type=int)
     sp.add_argument("--ordered-pattern")
     sp.add_argument("--core-pattern")
-    common(sp)
 
-    sp = sub.add_parser("scan", help="degree-floor scans to CSV")
+    sp = command("scan", "degree-floor scans to CSV", host_kind="graph")
     sp.add_argument("--pattern", action="append", required=True)
     sp.add_argument("--n", type=int, action="append", required=True)
     sp.add_argument("--alpha", action="append", required=True,
                     help="density parameter, e.g. 1, 0.5, or 2/3 (repeatable)")
-    sp.add_argument("--host-kind", choices=("graph", "3graph"), default="graph")
-    common(sp)
+    sp.add_argument("--host-kind", choices=("graph", "3graph"))
 
-    sp = sub.add_parser("bound", help="evaluate a certified upper-bound formula")
+    sp = command("bound", "evaluate a certified upper-bound formula", set=[])
     sp.add_argument("bound_id", choices=BOUND_IDS)
-    sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    common(sp)
+    sp.add_argument("--set", action="append", metavar="KEY=VALUE")
 
-    sp = sub.add_parser("report", help="merge CSV reports into one table")
+    sp = command("report", "merge CSV reports into one table")
     sp.add_argument("inputs", nargs="+")
-    common(sp)
 
     return parser
 
@@ -313,22 +311,24 @@ def _require(args, names: tuple[str, ...]) -> None:
 
 
 class _ReadFlags:
-    """Parsed flags that remember which ones were read."""
+    """Parsed flags that remember which ones were read.  A flag left off the
+    command line reads as its default, or None without one."""
 
     def __init__(self, args: argparse.Namespace):
         self._args = args
-        self.read = {"command", "output", "parser"}
+        self.read = {"command", "flag_defaults"}
 
     def __getattr__(self, name):
         self.read.add(name)
-        return getattr(self._args, name)
+        return getattr(self._args, name, self._args.flag_defaults.get(name))
 
 
 def job_from_args(args: argparse.Namespace) -> JobSpec:
     """The job a parsed command line asks for.
 
-    A flag set away from its default that the command, kind, quantity or
-    suite does not read is a malformed invocation, not a silent no-op.
+    A flag typed on the command line that the command, kind, quantity or
+    suite does not read is a malformed invocation, not a silent no-op, even
+    when it is typed at its default value.
     """
     flags = _ReadFlags(args)
     cmd = flags.command
@@ -376,13 +376,13 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
     else:
         params = {"inputs": list(flags.inputs)}
     seed = flags.seed if seeded else 0
-    parser = args.parser
-    unread = [k for k, v in vars(args).items() if k not in flags.read and v != parser.get_default(k)]
+    output = flags.output
+    unread = [k for k in vars(args) if k not in flags.read]
     if unread:
         job = [str(getattr(args, k)) for k in ("command", "kind", "suite", "quantity") if k in args]
         names = ", ".join("--" + k.replace("_", "-") for k in unread)
         raise ValueError(f"{' '.join(job)} does not use {names}")
-    return JobSpec(cmd, params, args.output, seed)
+    return JobSpec(cmd, params, output, seed)
 
 
 def main(argv=None) -> int:

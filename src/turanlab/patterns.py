@@ -31,6 +31,9 @@ Host state lives here too: `GraphHost` holds adjacency bitmasks and part
 masks, and `ThreeGraphHost` adds pair links (pair -> bitmask of third
 vertices) over a shadow it keeps in step with every added or removed triple,
 so no search rebuilds the shadow.  The solvers grow a host edge by edge.
+`GraphHost.can_hold` counts whether a host's parts have room for one copy
+of a pattern at all; the finders answer None at once when they do not, and
+the solvers drop such patterns before their search.
 The 3-graph searches that never change their host (`find_expansion`,
 `heavy_shadow_graph`, `greedy_extend`) share one read-only index,
 `_static_host`, built once for the last static 3-graph asked about: none of
@@ -589,6 +592,37 @@ class GraphHost:
         self.adj[u] &= ~(1 << v)
         self.adj[v] &= ~(1 << u)
 
+    def can_hold(self, spec: PatternSpec) -> bool:
+        """Do the host's parts have room for one copy of the pattern?
+
+        A copy takes distinct host vertices: the core's, and for an
+        expansion one apex per core edge, outside the core (A = |F| apexes
+        for an expansion, 0 for a graph pattern).  Every triple of a
+        semibipartite host has two left vertices and one right, so an
+        ordered core (first part left, second right) gives each of its
+        crossing pairs a left apex, and a core-in-V1 core gives each of its
+        left pairs a right apex:
+
+            ordered      core.m + A <= left,  core.n <= right
+            core-in-V1   core.m + core.n <= left,  A <= right
+            otherwise    v(F) + A <= all vertices
+
+        "Otherwise" is unordered placement, or a host without parts (both
+        part masks full).  The rule only counts vertices, so no host with
+        these parts holds a copy it rejects, and a search may skip such a
+        spec.  It is also exact on complete hosts, the unordered placement
+        on a host with parts aside: the complete host with these parts holds
+        a copy whenever the rule admits one.
+        """
+        core = spec.core
+        apexes = core.edge_count if spec.expansion else 0
+        left, right = self.left_mask, self.right_mask
+        if spec.placement == "unordered" or left == right:
+            return core.m + core.n + apexes <= len(self.adj)
+        if spec.placement == "ordered":
+            return core.m + apexes <= left.bit_count() and core.n <= right.bit_count()
+        return core.m + core.n <= left.bit_count() and apexes <= right.bit_count()
+
 
 class ThreeGraphHost(GraphHost):
     """Pair links of a 3-graph host over its shadow ``adj``, in combined labels.
@@ -722,8 +756,9 @@ def find_ordered_bipartite(g: BipartiteGraph, spec: PatternSpec) -> EmbeddingWit
 
     placement=ordered keeps the core's first part on the host's left side;
     unordered tries both orientations.  Witness labels are combined (right
-    part shifted by g.m).  A host with fewer vertices than the pattern is
-    answered None without a search.
+    part shifted by g.m).  A host whose parts cannot hold the pattern
+    (`GraphHost.can_hold`: for ordered placement, core.m left and core.n
+    right vertices) is answered None without a search.
     """
     if spec.expansion:
         raise ValueError("expansion pattern against a bipartite graph host")
@@ -733,7 +768,7 @@ def find_ordered_bipartite(g: BipartiteGraph, spec: PatternSpec) -> EmbeddingWit
 
 
 def _first_copy(host: GraphHost, spec: PatternSpec) -> EmbeddingWitness | None:
-    if spec.vertex_count > len(host.adj):
+    if not host.can_hold(spec):
         return None
     emb = next(_iter_pattern_embeddings(spec, host.adj, host.left_mask, host.right_mask), None)
     return None if emb is None else EmbeddingWitness(emb)
@@ -785,14 +820,22 @@ def find_expansion(
     core whose edges would have to share an apex is (correctly) rejected.
     Shadow and pair links come from the one-entry, read-only index of
     `_static_host`, which a caller's next question about the same host
-    reuses.  A host with fewer vertices than the expansion's v(F) + |F| is
-    answered None without a search.
+    reuses.
+
+    A host whose parts cannot hold the expansion is answered None without
+    a search (`GraphHost.can_hold`).  Each apex is distinct and outside the
+    core, and on a semibipartite host it sits on the left for a core pair
+    that crosses the parts, on the right for one inside the left part.  So
+    an ordered copy needs core.m + |F| left and core.n right vertices, a
+    core-in-V1 copy core.m + core.n left and |F| right, and any other
+    v(F) + |F| vertices in all.  That only counts vertices, so the answer
+    is exact: an ordered K{2,2}+, say, needs 6 left vertices.
     """
     if not spec.expansion:
         raise ValueError("graph pattern against a 3-graph host")
     host = _static_host(h)
     lm, rm = host.placement_masks(spec)
-    if spec.vertex_count + spec.core.edge_count > len(host.adj):
+    if not host.can_hold(spec):
         return None
     combined_edges = spec.combined_edges
     for emb in _iter_pattern_embeddings(spec, host.adj, lm, rm):

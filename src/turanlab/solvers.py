@@ -16,7 +16,8 @@ vertices whose degree each edge raises, an empty `turanlab.patterns` host
 (``GraphHost`` at rank 2, ``ThreeGraphHost`` at rank 3) that adds and
 removes an edge, and a ``hits`` test of an added edge against its patterns;
 the host's layout stays inside `turanlab.patterns`.  The engine walks the
-universe depth first, trying inclusion before exclusion, and prunes a
+universe depth first, in one loop over an explicit stack of decided edges
+rather than by recursion, trying inclusion before exclusion, and prunes a
 branch when (i) the new edge completes a forbidden pattern, (ii) the
 incumbent cannot be beaten even if every remaining edge were added, (iii)
 symmetry breaking rules the branch out: tracked degrees must not increase
@@ -42,6 +43,16 @@ Rule (i) is the hot path: one `pattern_through_edge` or
 `expansion_through_triple` call per included edge.  Both anchor on the new
 pair one directed core edge per symmetry class of the core
 (`PatternSpec.arcs`: one for C4 and for C6); see `turanlab.patterns`.
+Before the search, building ``hits`` drops the patterns the host's parts
+cannot hold (`GraphHost.can_hold`), so (i) never asks about them.  The
+apexes of an expansion are distinct and lie outside its core, and every
+triple of a semibipartite host has two left vertices and one right, so an
+ordered copy needs core.m + |F| left vertices and a core-in-V1 copy |F|
+right ones; any copy needs v(F) + |F| vertices in all.  A pattern that
+fails these counts has no copy in any host with those parts, so (i) would
+answer false on every edge: dropping it keeps every decision, node count
+and witness.  An ordered K{2,2}+, for one, needs 6 left vertices, more
+than any ``z_expansion_exact`` host up to the side cap has.
 
 ``eval_bound`` evaluates the closed-form upper bounds that accompany the
 solvers with high-precision arithmetic (mpmath) and records which formula
@@ -53,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 from typing import Callable, Sequence
 
 import mpmath
@@ -103,7 +115,9 @@ class SolveResult:
 
 
 def _edge_hits(host: GraphHost, specs) -> Callable[[tuple[int, int]], bool]:
-    """The engine's test at rank 2: does an added edge complete some copy?"""
+    """The engine's test at rank 2: does an added edge complete some copy?
+    Specs the host's parts cannot hold are dropped first."""
+    specs = [s for s in specs if host.can_hold(s)]
 
     def hits(e):
         for s in specs:
@@ -115,7 +129,9 @@ def _edge_hits(host: GraphHost, specs) -> Callable[[tuple[int, int]], bool]:
 
 
 def _triple_hits(host: ThreeGraphHost, specs) -> Callable[[tuple[int, int, int]], bool]:
-    """The engine's test at rank 3: does an added triple complete some copy?"""
+    """The engine's test at rank 3: does an added triple complete some copy?
+    Specs the host's parts cannot hold are dropped first."""
+    specs = [s for s in specs if host.can_hold(s)]
 
     def hits(t):
         for s in specs:
@@ -179,6 +195,11 @@ def _branch_and_bound(
     sorting keeps row degrees, so both orders hold on some copy of every
     host.
 
+    The walk is one loop over an explicit stack of decided edges, not a
+    recursion, so its speed does not depend on how deep the caller's stack
+    is.  The checks above run at the loop head of every node, from lists
+    indexed by the node's depth.
+
     Returns (best count, universe indices of the first best set found,
     nodes entered); best is -1 when no leaf is feasible.
     """
@@ -187,11 +208,22 @@ def _branch_and_bound(
     for i, vs in enumerate(raises):
         for x in vs:
             final_at[x] = i + 1
-    sym_checks: dict[int, list[int]] = {}
+    # what the loop head checks at node i, looked up by index: the vertices
+    # made final there (symmetry), whether a row ends there (column order),
+    # and the degrees the remaining edges can still add (floor)
+    sym_at: list[tuple[int, ...]] = [()] * (L + 1)
     if symmetry:
         for u in sorted(final_at):
             if u:
-                sym_checks.setdefault(final_at[u], []).append(u)
+                sym_at[final_at[u]] += (u,)
+    row_end = [False] * (L + 1)
+    cols: list[int] = []
+    if symmetry and row_width:
+        top = L // row_width - 1
+        cols = [0] * row_width
+        cell = [(i % row_width, 1 << (top - i // row_width)) for i in range(L)]
+        for i in range(row_width, L + 1, row_width):
+            row_end[i] = True
     suffix: list[list[int]] | None = None
     if floor is not None:
         suffix = [[0] * nv_deg for _ in range(L + 1)]
@@ -200,68 +232,78 @@ def _branch_and_bound(
             for x in raises[i]:
                 row[x] += 1
             suffix[i] = row
-    floor_vs = (0,) if symmetry else range(nv_deg)
-    cols: list[int] | None = None
-    if symmetry and row_width:
-        top = L // row_width - 1
-        cols = [0] * row_width
-        cell = [(i % row_width, 1 << (top - i // row_width)) for i in range(L)]
+        if symmetry:
+            # only vertex 0 is read: max(map(add, deg, row)) stops at the
+            # shorter list
+            suffix = [row[:1] for row in suffix]
 
-    add, remove = host.add, host.remove
+    add_edge, remove_edge = host.add, host.remove
     deg = [0] * nv_deg
-    chosen: list[int] = []
+    # one entry per decided edge, in universe order: i while the inclusion
+    # branch of edge i is open, ~i once its exclusion branch is
+    stack: list[int] = []
+    count = 0
     best = -1
     best_chosen: tuple[int, ...] = ()
     nodes = 0
-
-    def rec(i: int, count: int) -> None:
-        nonlocal best, best_chosen, nodes
-        nodes += 1
-        us = sym_checks.get(i)
-        if us:
-            for u in us:
-                if deg[u] > deg[u - 1]:
-                    return
-            u = us[-1]
-            # vertices up to u are final and every later degree is capped
-            # by deg[u] on any surviving leaf, bounding the total edge count
-            cap = sum(deg[:u + 1]) + (nv_deg - u - 1) * deg[u]
-            if cap // divisor <= best:
-                return
-        if cols is not None and i and i % row_width == 0:
-            if any(cols[c] > cols[c - 1] for c in range(1, row_width)):
-                return
-        if suffix is not None:
-            row = suffix[i]
-            if all(deg[v] + row[v] < floor for v in floor_vs):
-                return
-        if count + (L - i) <= best:
-            return
-        if i == L:
-            best = count
-            best_chosen = tuple(chosen)
-            return
-        e = universe[i]
-        add(e)
-        if not hits(e):
-            vs = raises[i]
-            for x in vs:
-                deg[x] += 1
-            if cols is not None:
-                c, bit = cell[i]
-                cols[c] += bit
-            chosen.append(i)
-            rec(i + 1, count + 1)
-            chosen.pop()
-            if cols is not None:
-                cols[c] -= bit
-            for x in vs:
-                deg[x] -= 1
-        remove(e)
-        rec(i + 1, count)
-
-    rec(0, 0)
-    return best, best_chosen, nodes
+    i = 0
+    while True:
+        # descend from node i (i == len(stack)) to a cut or a leaf
+        while True:
+            nodes += 1
+            if count + (L - i) <= best:
+                break
+            us = sym_at[i]
+            if us:
+                for u in us:
+                    if deg[u] > deg[u - 1]:
+                        break
+                if deg[u] > deg[u - 1]:  # the loop stopped at u
+                    break
+                # u is the last vertex made final: vertices up to u are
+                # final, and every later degree is capped by deg[u] on any
+                # surviving leaf, bounding the total edge count
+                if (sum(deg[:u + 1]) + (nv_deg - u - 1) * deg[u]) // divisor <= best:
+                    break
+            if row_end[i] and cols != sorted(cols, reverse=True):
+                break
+            if suffix is not None and max(map(add, deg, suffix[i])) < floor:
+                break
+            if i == L:
+                best = count
+                best_chosen = tuple(j for j in stack if j >= 0)
+                break
+            e = universe[i]
+            add_edge(e)
+            if hits(e):
+                remove_edge(e)
+                stack.append(~i)
+            else:
+                for x in raises[i]:
+                    deg[x] += 1
+                if cols:
+                    c, bit = cell[i]
+                    cols[c] += bit
+                stack.append(i)
+                count += 1
+            i += 1
+        # backtrack: drop closed exclusion branches, then turn the deepest
+        # inclusion into its exclusion
+        while stack:
+            i = stack.pop()
+            if i >= 0:
+                break
+        else:
+            return best, best_chosen, nodes
+        for x in raises[i]:
+            deg[x] -= 1
+        if cols:
+            c, bit = cell[i]
+            cols[c] -= bit
+        remove_edge(universe[i])
+        count -= 1
+        stack.append(~i)
+        i += 1
 
 
 def ex_exact(

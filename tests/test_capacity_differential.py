@@ -29,6 +29,7 @@ from test_patterns import _brute_expansion
 from turanlab.hypergraph import SemibipartiteThreeGraph, ThreeGraph
 from turanlab.patterns import (
     PLACEMENTS,
+    GraphHost,
     ThreeGraphHost,
     complete_bipartite,
     even_cycle,
@@ -101,17 +102,6 @@ def test_complete_three_graph_holds_a_copy_exactly_when_it_fits(spec):
         _check_complete(h, spec, _fits(spec, nv))
 
 
-def test_the_rule_is_exact_on_the_paper_patterns():
-    # an ordered K{2,2}+ needs 2 + 4 left vertices, so no host with fewer
-    # than 6 left vertices holds one, whatever its right part
-    ordered = complete_bipartite(2, 2, True, "ordered")
-    core_in_v1 = complete_bipartite(2, 2, True, "core-in-V1")
-    assert [m for m in SIDES if _fits(ordered, m, 6)] == [6]
-    assert [n for n in SIDES if _fits(core_in_v1, 4, n)] == [4, 5, 6]
-    assert find_expansion(_complete_semibipartite(5, 6), ordered) is None
-    assert find_expansion(_complete_semibipartite(6, 2), ordered) is not None
-
-
 @st.composite
 def _excluded_case(draw):
     """A spec and a sparse host whose parts the rule says cannot hold it.
@@ -149,3 +139,19 @@ def test_sparse_hosts_hold_no_copy_the_rule_excludes(case):
         # the brute force needs enough vertices for an injective map to
         # tell it anything
         assert _brute_expansion(h, spec) is None
+
+
+def test_can_hold_is_the_counting_rule():
+    for spec in SPECS:
+        for m, n in itertools.product(SIDES, SIDES):
+            assert ThreeGraphHost(m, n).can_hold(spec) == _fits(spec, m, n)
+    for spec in PLAIN_SPECS:
+        for nv in range(1, 13):
+            assert ThreeGraphHost(nv).can_hold(spec) == _fits(spec, nv)
+    # graph patterns take no apexes
+    for (s, t), (m, n) in itertools.product(itertools.product(SIDES, SIDES), repeat=2):
+        assert GraphHost(m, n).can_hold(complete_bipartite(s, t, placement="ordered")) == (
+            s <= m and t <= n
+        )
+        assert GraphHost(m, n).can_hold(complete_bipartite(s, t)) == (s + t <= m + n)
+        assert GraphHost(m).can_hold(complete_bipartite(s, t)) == (s + t <= m)

@@ -355,6 +355,11 @@ class TestUnusedFlags:
              "solve ex does not use --m"),
             (["check", "pg-properties", "--q", "3", "--s", "2", "--count", "4"],
              "check pg-properties does not use --count"),
+            # typed at its default value, a flag is still typed
+            (["solve", "z", "--m", "3", "--n", "3", "--pattern", "C4", "--host-kind", "graph"],
+             "solve z does not use --host-kind"),
+            (["construct", "normgraph", "--q", "3", "--s", "2", "--layer", "hypergraph"],
+             "construct normgraph does not use --layer"),
         ],
     )
     def test_flag_the_job_does_not_read_is_rejected(self, capsys, argv, error):
@@ -364,8 +369,8 @@ class TestUnusedFlags:
 
     def test_flags_the_job_reads_pass(self, capsys):
         assert main(["check", "fullness", "--n", "6", "--count", "2", "--seed", "3"]) == 0
-        assert main(["solve", "z", "--m", "2", "--n", "2", "--pattern", "C4",
-                     "--host-kind", "graph"]) == 0  # a flag at its default is not "set"
+        assert main(["solve", "ex", "--n", "4", "--pattern", "C4", "--host-kind", "graph"]) == 0
+        assert main(["solve", "z", "--m", "2", "--n", "2", "--pattern", "C4"]) == 0
         status = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert status["status"] == "ok" and status["value"] == 3
 

@@ -12,7 +12,9 @@ CHANGES.md), run from the repository root:
 """
 
 import csv
+import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,6 +81,25 @@ def test_solve_matches_golden(quantity, params_text):
     assert _record(quantity, params_text) == want
 
 
+@pytest.mark.parametrize(
+    "quantity,params_text",
+    [("ex", "n=8;pattern=C4"), ("zexp", "m=4;n=4;p1=K{2,2}+ ordered;p2=K{2,2}+ core-in-V1")],
+    ids=lambda x: x,
+)
+def test_engine_does_not_recurse_per_edge(quantity, params_text):
+    # 40 frames past the caller's hold a solve's call chain (entry point,
+    # engine, pattern check, apex matching, witness re-check) but not one
+    # frame per universe edge: 28 for ex(8, C4), 24 for the 4x4 zexp row
+    want = _fixture()[(quantity, params_text)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        got = _record(quantity, params_text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+
+
 if __name__ == "__main__":
     old = _fixture() if FIXTURE.exists() else {}
     records = [_record(q, p) for q, p in _rows()]
@@ -95,3 +116,4 @@ if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {len(records)} rows to {FIXTURE}")
+
