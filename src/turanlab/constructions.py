@@ -171,10 +171,12 @@ def composed_construction(p: int, s1: int, s2: int) -> ComposedConstruction:
             f"p^(s1*s2) = {p ** (s1 * s2)} exceeds {MAX_CONSTRUCTION_ORDER}"
         )
 
-    layer_small = norm_graph(qt, s2)
-    layer = Graph(n, list(layer_small.edges))
-    cross_small = bipartite_norm_graph(q, s1)
-    cross = BipartiteGraph(n, n, list(cross_small.edges))
+    layer = norm_graph(qt, s2)
+    if layer.n < n:
+        layer = Graph(n, layer.edges)
+    cross = bipartite_norm_graph(q, s1)
+    if cross.m < n:
+        cross = BipartiteGraph(n, n, cross.edges)
 
     triples = []
     for u, v in layer.edges:

@@ -16,14 +16,18 @@ Vertex labels in witnesses are combined host labels: for bipartite and
 semibipartite hosts the right part is shifted by the left part size.
 
 Search strategy: on a whole host, complete bipartite cores K_{s,t} go
-through `iter_kst` (also the K_{s,t} finder of the check suites), an
-ascending s-subset enumeration with a running common-neighborhood
-intersection that draws each next s-side vertex from the rows adjacent to t
-of its members, counted from a reverse adjacency (column -> rows) built once
-per call.  All other cores go through a most-constrained-first backtracking
-embedder, whose placement plan (order, already-placed neighbors and core
-degree of each free vertex) depends only on the core and its anchored
-vertices, so it is compiled once and cached.  Expansion copies are decided
+through `iter_kst`, an ascending s-subset enumeration with a running
+common-neighborhood intersection that draws each next s-side vertex from
+the rows adjacent to t of its members, counted from a reverse adjacency
+(column -> rows) built once per call.  `first_kst` (the finders' and the
+check suites' K_{s,t} search) returns its first copy, and on a host whose
+copies come in swapped pairs searches only the columns above the first
+s-side vertex.  All other cores go through a most-constrained-first
+backtracking embedder, whose placement plan (order, already-placed
+neighbors and core degree of each free vertex) depends only on the core
+and its anchored vertices, so it is compiled once and cached.  The finders
+search one orientation of a core whose parts some automorphism exchanges,
+such as K_{s,s} or C6.  Expansion copies are decided
 per core embedding by maximum bipartite matching between core edges and
 eligible apexes.
 
@@ -361,14 +365,41 @@ def iter_kst(adj, s: int, t: int, left_mask: int, right_mask: int) -> Iterator[t
 
     The next s-side vertex comes from a candidate mask.  A reverse
     adjacency, built once per call in O(edges), maps each column to the mask
-    of rows adjacent to it.  At each level the members x of the running
-    intersection are folded over it into saturating counters, "adjacent to
-    >= 1, >= 2, ..., >= t of them"; the top counter is exactly the set of
-    rows that keep t common neighbors, and only its bits after the last
-    chosen vertex are visited.  A deeper vertex needs t members of a smaller
-    intersection, so what is left of the mask is the next level's candidate
-    set.  Copies through one given edge are `kst_through`'s job.
+    of rows adjacent to it.  When a vertex joins the s-side, the members x
+    of the running intersection it leaves are folded over it into
+    saturating counters, "adjacent to >= 1, >= 2, ..., >= t of them"; the
+    top counter is exactly the set of rows that keep t common neighbors,
+    and only its bits after the new vertex are kept.  A deeper vertex needs
+    t members of a smaller intersection, so what is left of the mask is the
+    next level's candidate set, and the s-th vertex is read off it with no
+    search frame of its own.  Copies through one given edge are
+    `kst_through`'s job, and the first copy alone is `first_kst`'s.
     """
+    return _kst_copies(adj, s, t, left_mask, right_mask, False)
+
+
+def first_kst(adj, s: int, t: int, left_mask: int, right_mask: int) -> tuple[tuple, tuple] | None:
+    """The first copy `iter_kst` yields, or None, searching fewer columns
+    when the host's copies come in swapped pairs.
+
+    That holds when s == t and every column x of every row v keeping t
+    columns is a row (in left_mask, and not v) with v among its columns:
+    a graph with both masks full, or bipartite rows with ``left_adj ==
+    right_adj`` and an empty diagonal.  Then for a copy (A, B), each
+    s-subset S of A's common columns gives a copy (S, A).  Let (A, B) be
+    the first copy and v = min A.  A common column of A below v would lie
+    in such an S, whose s-side comes first, so A's whole common
+    neighborhood lies above v.  The search may therefore keep only the
+    columns above the first s-side vertex: every copy it then meets is one
+    of `iter_kst`'s, none comes before (A, B), and (A, B) keeps its t-side.
+    The condition is read off the reverse adjacency, once per call.
+    """
+    return next(_kst_copies(adj, s, t, left_mask, right_mask, s == t), None)
+
+
+def _kst_copies(adj, s: int, t: int, left_mask: int, right_mask: int, cut: bool):
+    """`iter_kst`'s search; with cut, columns at or below the first s-side
+    vertex are dropped when the rows pass `first_kst`'s condition."""
     rows = [(v, adj[v] & right_mask) for v in iter_bits(left_mask)]
     rows = [(v, row) for v, row in rows if row.bit_count() >= t]
     # The counters are lanes of one integer, w bits each: lane k holds the
@@ -386,25 +417,37 @@ def iter_kst(adj, s: int, t: int, left_mask: int, right_mask: int) -> Iterator[t
             radj[x] |= copies
     every = (1 << w) - 1
     top = t * w
+    if cut:
+        # first_kst's condition: lane 1 of radj[x] holds the rows with column
+        # x, so x must be a row, not among them, with each of them a column
+        for x, by in enumerate(radj):
+            by = by >> w & every
+            if by and (not left_mask >> x & 1 or by >> x & 1 or by & ~(adj[x] & right_mask)):
+                cut = False
+                break
 
     def rec(chosen: tuple, inter: int, cand: int):
-        if len(chosen) == s:
-            for b in combinations(iter_bits(inter), t):
-                yield chosen, b
-            return
-        if chosen:
-            counts = every
-            rest = inter
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                counts |= (counts << w) & radj[low.bit_length() - 1]
-            cand &= counts >> top
+        last = len(chosen) == s - 1
         while cand:
             low = cand & -cand
             cand ^= low
             v = low.bit_length() - 1
-            yield from rec(chosen + (v,), inter & adj[v], cand)
+            ninter = inter & adj[v]
+            if cut and not chosen:
+                ninter &= -(2 << v)
+            if last:
+                for b in combinations(iter_bits(ninter), t):
+                    yield chosen + (v,), b
+                continue
+            counts = every
+            rest = ninter
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                counts |= (counts << w) & radj[low.bit_length() - 1]
+            ncand = cand & counts >> top
+            if ncand:
+                yield from rec(chosen + (v,), ninter, ncand)
 
     yield from rec((), right_mask, first)
 
@@ -707,20 +750,15 @@ def _static_host(h: ThreeGraph | SemibipartiteThreeGraph) -> ThreeGraphHost:
     return host
 
 
-def _iter_pattern_embeddings(
-    spec: PatternSpec,
-    adj,
-    left_mask: int,
-    right_mask: int,
-) -> Iterator[tuple[int, ...]]:
+def _iter_pattern_embeddings(spec: PatternSpec, adj, lm: int, rm: int) -> Iterator[tuple[int, ...]]:
+    """Every embedding of the core with its first part in lm, its second in rm."""
     core = spec.core
-    for lm, rm in _side_masks(spec, left_mask, right_mask):
-        if spec.is_complete:
-            for a, b in iter_kst(adj, core.m, core.n, lm, rm):
-                yield a + b
-        else:
-            allowed = [lm] * core.m + [rm] * core.n
-            yield from _iter_core_embeddings(core.m + core.n, spec.combined_edges, allowed, adj)
+    if spec.is_complete:
+        for a, b in iter_kst(adj, core.m, core.n, lm, rm):
+            yield a + b
+    else:
+        allowed = [lm] * core.m + [rm] * core.n
+        yield from _iter_core_embeddings(core.m + core.n, spec.combined_edges, allowed, adj)
 
 
 def _side_masks(
@@ -755,10 +793,11 @@ def find_ordered_bipartite(g: BipartiteGraph, spec: PatternSpec) -> EmbeddingWit
     """First copy of a graph pattern in a bipartite host, or None.
 
     placement=ordered keeps the core's first part on the host's left side;
-    unordered tries both orientations.  Witness labels are combined (right
-    part shifted by g.m).  A host whose parts cannot hold the pattern
-    (`GraphHost.can_hold`: for ordered placement, core.m left and core.n
-    right vertices) is answered None without a search.
+    unordered tries both orientations, or the first alone when some
+    automorphism of the core exchanges its parts.  Witness labels are
+    combined (right part shifted by g.m).  A host whose parts cannot hold
+    the pattern (`GraphHost.can_hold`: for ordered placement, core.m left
+    and core.n right vertices) is answered None without a search.
     """
     if spec.expansion:
         raise ValueError("expansion pattern against a bipartite graph host")
@@ -768,10 +807,36 @@ def find_ordered_bipartite(g: BipartiteGraph, spec: PatternSpec) -> EmbeddingWit
 
 
 def _first_copy(host: GraphHost, spec: PatternSpec) -> EmbeddingWitness | None:
+    """The first copy over the orientations of `_side_masks`.  When some
+    automorphism of the core exchanges its parts, a copy in the second
+    orientation composed with it is one in the first, so the first
+    orientation alone gives the same answer and witness."""
     if not host.can_hold(spec):
         return None
-    emb = next(_iter_pattern_embeddings(spec, host.adj, host.left_mask, host.right_mask), None)
-    return None if emb is None else EmbeddingWitness(emb)
+    core = spec.core
+    sides = _side_masks(spec, host.left_mask, host.right_mask)
+    if len(sides) > 1 and _swaps_parts(core):
+        sides = sides[:1]
+    for lm, rm in sides:
+        if spec.is_complete:
+            copy = first_kst(host.adj, core.m, core.n, lm, rm)
+            emb = None if copy is None else copy[0] + copy[1]
+        else:
+            emb = next(_iter_pattern_embeddings(spec, host.adj, lm, rm), None)
+        if emb is not None:
+            return EmbeddingWitness(emb)
+    return None
+
+
+@lru_cache(maxsize=256)
+def _swaps_parts(core: BipartiteGraph) -> bool:
+    """Does some automorphism of the core exchange its two parts?"""
+    if core.m != core.n:
+        return False
+    host = GraphHost.of(core)
+    swapped = [host.right_mask] * core.m + [host.left_mask] * core.n
+    edges = tuple((a, core.m + b) for a, b in core.edges)
+    return next(_iter_core_embeddings(core.m + core.n, edges, swapped, host.adj), None) is not None
 
 
 def _try_apex_match(

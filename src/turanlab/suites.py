@@ -31,7 +31,7 @@ from .patterns import (
     complete_bipartite,
     greedy_extend,
     heavy_shadow_graph,
-    iter_kst,
+    first_kst,
     verify_expansion_witness,
 )
 
@@ -42,7 +42,7 @@ def suite_pg_properties(q: int, s: int) -> tuple[int, dict]:
     allowed = {q ** (s - 1) - 1, q ** (s - 1) - 2}
     bad_degrees = sum(1 for v in range(g.n) if g.degree(v) not in allowed)
     t = factorial(s - 1) + 1
-    witness = next(iter_kst(g.adj, s, t, (1 << g.n) - 1, -1), None)
+    witness = first_kst(g.adj, s, t, (1 << g.n) - 1, -1)
     violations = int(g.n != expected_n) + int(bad_degrees > 0) + int(witness is not None)
     return violations, {
         "n": g.n,
@@ -93,9 +93,9 @@ def suite_composed(p: int, s1: int, s2: int) -> tuple[int, dict]:
     t1 = factorial(s1 - 1) + 1
     t2 = factorial(s2 - 1) + 1
     layer = c.v1_layer
-    layer_witness = next(iter_kst(layer.adj, s2, t2, (1 << layer.n) - 1, -1), None)
+    layer_witness = first_kst(layer.adj, s2, t2, (1 << layer.n) - 1, -1)
     cross = c.cross_layer
-    cross_witness = next(iter_kst(cross.left_adj, s1, t1, (1 << cross.m) - 1, -1), None)
+    cross_witness = first_kst(cross.left_adj, s1, t1, (1 << cross.m) - 1, -1)
     density = h.edge_count / (c.n * c.n)
     band_ok = 0.1 <= density <= 1.0
     violations = (

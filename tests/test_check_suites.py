@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from turanlab.cli import JobSpec, dispatch
-from turanlab.constructions import norm_graph
-from turanlab.patterns import iter_kst
+from turanlab.constructions import bipartite_norm_graph, norm_graph
+from turanlab.patterns import first_kst, iter_kst
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "golden_checks.json"
 
@@ -109,10 +109,13 @@ def test_find_common_kst_matches_enumeration_on_random_masks():
 def test_find_common_kst_matches_enumeration_on_norm_graphs():
     found = []
     for q, s, t in ((3, 2, 2), (5, 2, 2), (3, 3, 2), (3, 3, 3), (4, 3, 2), (4, 3, 3)):
-        g = norm_graph(q, s)
-        got = next(iter_kst(g.adj, s, t, (1 << g.n) - 1, -1), None)
-        assert got == _reference_common_kst(g.adj, g.n, s, t)
-        found.append(got is not None)
+        # the norm graph and the rows of its bipartite variant (the cross
+        # layer's shape: left_adj == right_adj, empty diagonal)
+        for rows in (norm_graph(q, s).adj, bipartite_norm_graph(q, s).left_adj):
+            want = _reference_common_kst(rows, len(rows), s, t)
+            assert next(iter_kst(rows, s, t, (1 << len(rows)) - 1, -1), None) == want
+            assert first_kst(rows, s, t, (1 << len(rows)) - 1, -1) == want
+            found.append(want is not None)
     assert any(found) and not all(found)
 
 

@@ -10,15 +10,21 @@ of the solver's per-edge checks, `kst_through`, is compared the same way
 through an accept test that records each copy it is offered, for K{s,t},
 K{1,t} and K{s,1}, on symmetric graphs and on bipartite hosts with one part
 mask per side; a second test checks that it stops at the copy accept takes.
+`first_kst` must return the reference's first copy: on symmetric graphs
+with s == t and equal masks, and on symmetric bipartite rows (``left_adj ==
+right_adj``, empty diagonal, the cross layer's shape), where it searches
+only the columns above the first s-side vertex; and where it may not, on
+one-sided rows, on graphs with masks and sides drawn independently, and on
+four small hosts that each break one part of its condition.
 """
 
 import itertools
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from turanlab.hypergraph import Graph
-from turanlab.patterns import iter_kst, kst_through
+from turanlab.hypergraph import BipartiteGraph, Graph
+from turanlab.patterns import first_kst, iter_kst, kst_through
 
 
 def _settings(examples):
@@ -102,6 +108,22 @@ def _graph_cases(draw):
 
 
 @st.composite
+def _swap_closed_cases(draw):
+    """s == t on a graph with equal masks, or on the rows of a bipartite
+    graph whose left and right adjacency agree (a graph's adjacency read
+    as a symmetric bipartite one)."""
+    g = _graph(draw)
+    s = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        mask = _mask(draw, g.n)
+        return list(g.adj), s, s, mask, mask
+    edges = [e for a, b in g.edges for e in ((a, b), (b, a))]
+    b = BipartiteGraph(g.n, g.n, edges)
+    assert b.left_adj == b.right_adj
+    return list(b.left_adj), s, s, (1 << g.n) - 1, -1
+
+
+@st.composite
 def _anchored_cases(draw):
     ha, hb = draw(st.sampled_from(((0, 1), (1, 0))))
     g = _graph(draw, min_n=2, plant=[(0, 1)])
@@ -147,6 +169,29 @@ def test_whole_host_kst_on_graphs_matches_reference(case):
     adj, s, t, left_mask, right_mask = case
     got = list(iter_kst(adj, s, t, left_mask, right_mask))
     assert got == list(_reference_kst(adj, s, t, left_mask, right_mask))
+
+
+def _first_of_reference(adj, s, t, left_mask, right_mask):
+    return next(_reference_kst(adj, s, t, left_mask, right_mask), None)
+
+
+@_settings(400)
+@given(_swap_closed_cases())
+def test_first_kst_on_swap_closed_hosts_matches_reference(case):
+    assert first_kst(*case) == _first_of_reference(*case)
+
+
+@_settings(300)
+@given(st.one_of(_one_sided_cases(), _graph_cases()))
+# each breaks one part of the condition, and its first copy has a column
+# below its first s-side vertex: a row that is its own column, a column
+# that is not a row, a column whose row lacks the row that has it, s != t
+@example(([0b11, 0b11], 1, 1, 0b11, -1))
+@example(([0b10, 0b01], 1, 1, 0b10, -1))
+@example(([0b00, 0b01], 1, 1, 0b11, -1))
+@example(([0b100, 0b100, 0b011], 1, 2, 0b111, -1))
+def test_first_kst_on_other_hosts_matches_reference(case):
+    assert first_kst(*case) == _first_of_reference(*case)
 
 
 def _offered(adj, s, t, left_mask, right_mask, anchor, take_at=None):

@@ -396,6 +396,8 @@ def test_bipartite_search_matches_oracle():
         complete_bipartite(2, 2, placement="ordered"),
         complete_bipartite(1, 3, placement="ordered"),
         complete_bipartite(2, 3),
+        complete_bipartite(2, 2),
+        complete_bipartite(3, 3),
         even_cycle(6),
         even_cycle(6, placement="ordered"),
     ]
