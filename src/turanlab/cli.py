@@ -29,8 +29,10 @@ Graph JSON schema (construct output and pattern files):
 ``{"kind": "graph"|"bipartite"|"3graph"|"semibipartite3", "n": int`` (plus
 ``"m"`` for the two-part kinds), ``"edges": [[...], ...]}`` with edges
 sorted ascending; files are canonical single-line JSON, so re-serializing
-a parsed file reproduces its bytes.  ``--format graph6`` (plain graphs
-only) emits the standard graph6 encoding instead.
+a parsed file reproduces its bytes.  ``hypergraph.from_json_dict`` is the
+one validating reader: a malformed file exits 2 with the field named.
+``--format graph6`` (plain graphs only) emits the standard graph6 encoding
+instead.
 """
 
 from __future__ import annotations

@@ -153,6 +153,15 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     return True
 
 
+def _check_order(p: int, k: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"characteristic must be prime, got {p}")
+    if k < 1:
+        raise ValueError(f"extension degree must be >= 1, got {k}")
+    if p**k > MAX_FIELD_ORDER:
+        raise CapExceededError(f"field order {p**k} exceeds cap {MAX_FIELD_ORDER}")
+
+
 class FieldDescriptor:
     """Immutable description of F_{p^k}: characteristic, degree, modulus.
 
@@ -163,12 +172,7 @@ class FieldDescriptor:
     __slots__ = ("p", "k", "modulus")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
-        if not is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p}")
-        if k < 1:
-            raise ValueError(f"extension degree must be >= 1, got {k}")
-        if p**k > MAX_FIELD_ORDER:
-            raise CapExceededError(f"field order {p**k} exceeds cap {MAX_FIELD_ORDER}")
+        _check_order(p, k)
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
@@ -188,11 +192,7 @@ class FieldDescriptor:
     def from_index(self, idx: int) -> "FieldElement":
         if not 0 <= idx < self.order:
             raise ValueError(f"index {idx} out of range for order {self.order}")
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(idx % self.p)
-            idx //= self.p
-        return FieldElement(self, coeffs)
+        return FieldElement(self, _digits(idx, self.p, self.k))
 
     def zero(self) -> "FieldElement":
         return self.from_index(0)
@@ -227,21 +227,11 @@ def make_field(p: int, k: int) -> FieldDescriptor:
     degree-k polynomials are ordered by their index sum(c_i * p**i) over the
     non-leading coefficients.  For k = 1 the modulus is x.
     """
-    if not is_prime(p):
-        raise ValueError(f"characteristic must be prime, got {p}")
-    if k < 1:
-        raise ValueError(f"extension degree must be >= 1, got {k}")
-    if p**k > MAX_FIELD_ORDER:
-        raise CapExceededError(f"field order {p**k} exceeds cap {MAX_FIELD_ORDER}")
+    _check_order(p, k)
     if k == 1:
         return FieldDescriptor(p, 1, (0, 1))
     for low in range(p**k):
-        coeffs = []
-        idx = low
-        for _ in range(k):
-            coeffs.append(idx % p)
-            idx //= p
-        poly = coeffs + [1]
+        poly = _digits(low, p, k) + [1]
         if _is_irreducible(poly, p):
             return FieldDescriptor(p, k, tuple(poly))
     raise RuntimeError("no irreducible found")  # unreachable: they exist for all p, k
@@ -263,10 +253,7 @@ class FieldElement:
 
     @property
     def idx(self) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * self.field.p + c
-        return acc
+        return _index(self.coeffs, self.field.p)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

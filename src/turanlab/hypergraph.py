@@ -5,6 +5,11 @@ never silently deduplicated.  Every constructor asserts the degree handshake
 (sum of degrees = r * |edges| for r-uniform structures).  Adjacency is kept
 as int bitmasks.  Objects are immutable once built.
 
+The four containers share one private base, ``_Host``, which derives edge
+count, JSON dict, equality (same type, sizes and edges), hash and repr from
+each class's kind, part-size fields and edge arity.  Each container keeps
+its own constructor and per-edge checks.
+
 JSON schema (one object per file, edges sorted ascending):
 
     {"kind": "graph",          "n": int,           "edges": [[u, v], ...]}
@@ -14,6 +19,12 @@ JSON schema (one object per file, edges sorted ascending):
 
 Bipartite edges pair a left index u < m with a right index w < n.
 Semibipartite triples have two left indices u < v < m and one right w < n.
+
+:func:`from_json_dict` is the one reader of this schema.  It raises a
+ValueError for a non-object, and one naming the field for an unknown kind,
+a part size that is missing, negative or not an int, edges that are not a
+list of lists, an edge of the wrong arity, or a vertex that is not an int
+(bools are not ints here); the constructor then rejects the rest.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import InvariantViolationError
@@ -42,15 +54,66 @@ class DegreeStats:
     degrees: tuple[int, ...]
 
 
-def _check_handshake(degrees: Iterable[int], rank: int, edge_count: int) -> None:
-    if sum(degrees) != rank * edge_count:
-        raise InvariantViolationError("degree handshake failed")
+def _sorted_distinct(edges: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Normalized edges sorted in place; equal neighbours are duplicates."""
+    edges.sort()
+    if any(map(tuple.__eq__, edges, edges[1:])):
+        raise ValueError("duplicate edges in input")
+    return tuple(edges)
 
 
-class Graph:
+class _Host:
+    """What the four containers share, driven by three class attributes.
+
+    ``kind`` is the JSON kind, ``size_fields`` names the part sizes in
+    constructor order, and ``arity`` is the number of vertices per edge.
+    Subclasses set ``edges`` and define ``degree_sequence``.
+    """
+
+    __slots__ = ()
+    kind: str
+    size_fields: tuple[str, ...]
+    arity: int
+    edges: tuple[tuple[int, ...], ...]
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def _check_handshake(self) -> None:
+        if sum(self.degree_sequence()) != self.arity * len(self.edges):
+            raise InvariantViolationError("degree handshake failed")
+
+    def _sizes(self) -> tuple[int, ...]:
+        return tuple(getattr(self, key) for key in self.size_fields)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            **dict(zip(self.size_fields, self._sizes())),
+            "edges": [list(e) for e in self.edges],
+        }
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._sizes() == other._sizes()
+            and self.edges == other.edges
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, *self._sizes(), self.edges))
+
+    def __repr__(self) -> str:
+        sizes = "".join(f"{key}={size}, " for key, size in zip(self.size_fields, self._sizes()))
+        return f"{type(self).__name__}({sizes}edges={len(self.edges)})"
+
+
+class Graph(_Host):
     """Simple undirected graph on vertices 0..n-1."""
 
     __slots__ = ("n", "edges", "adj")
+    kind, size_fields, arity = "graph", ("n",), 2
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -63,23 +126,20 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {e} out of range for n={n}")
             norm_edges.append((u, v) if u < v else (v, u))
-        if len(set(norm_edges)) != len(norm_edges):
-            raise ValueError("duplicate edges in input")
         self.n = n
-        self.edges = tuple(sorted(norm_edges))
+        self.edges = _sorted_distinct(norm_edges)
         adj = [0] * n
         for u, v in self.edges:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.adj = tuple(adj)
-        _check_handshake((a.bit_count() for a in adj), 2, len(self.edges))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+        self._check_handshake()
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
+
+    def degree_sequence(self) -> list[int]:
+        return [a.bit_count() for a in self.adj]
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -109,23 +169,12 @@ class Graph:
                 sub.append((lp[v], rp[u]))
         return BipartiteGraph(len(lt), len(rt), sub), lt, rt
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "graph", "n": self.n, "edges": [list(e) for e in self.edges]}
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash(("graph", self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={len(self.edges)})"
-
-
-class BipartiteGraph:
+class BipartiteGraph(_Host):
     """Bipartite graph with ordered parts of sizes m (left) and n (right)."""
 
     __slots__ = ("m", "n", "edges", "left_adj", "right_adj")
+    kind, size_fields, arity = "bipartite", ("m", "n"), 2
 
     def __init__(self, m: int, n: int, edges: Iterable[tuple[int, int]]):
         if m < 0 or n < 0:
@@ -136,11 +185,9 @@ class BipartiteGraph:
             if not (0 <= u < m and 0 <= w < n):
                 raise ValueError(f"edge {e} out of range for parts ({m},{n})")
             norm_edges.append((u, w))
-        if len(set(norm_edges)) != len(norm_edges):
-            raise ValueError("duplicate edges in input")
         self.m = m
         self.n = n
-        self.edges = tuple(sorted(norm_edges))
+        self.edges = _sorted_distinct(norm_edges)
         la = [0] * m
         ra = [0] * n
         for u, w in self.edges:
@@ -148,13 +195,11 @@ class BipartiteGraph:
             ra[w] |= 1 << u
         self.left_adj = tuple(la)
         self.right_adj = tuple(ra)
-        _check_handshake(
-            [a.bit_count() for a in la] + [a.bit_count() for a in ra], 2, len(self.edges)
-        )
+        self._check_handshake()
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def degree_sequence(self) -> list[int]:
+        """Degrees of left vertices 0..m-1 followed by right vertices 0..n-1."""
+        return [a.bit_count() for a in self.left_adj + self.right_adj]
 
     def has_edge(self, u: int, w: int) -> bool:
         return bool(self.left_adj[u] >> w & 1)
@@ -180,32 +225,12 @@ class BipartiteGraph:
         """No cycle: every component has one edge fewer than vertices."""
         return self.edge_count == self.m + self.n - self.component_count()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "bipartite",
-            "m": self.m,
-            "n": self.n,
-            "edges": [list(e) for e in self.edges],
-        }
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BipartiteGraph)
-            and (self.m, self.n) == (other.m, other.n)
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash(("bipartite", self.m, self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"BipartiteGraph(m={self.m}, n={self.n}, edges={len(self.edges)})"
-
-
-class ThreeGraph:
+class ThreeGraph(_Host):
     """3-uniform hypergraph on vertices 0..n-1."""
 
     __slots__ = ("n", "edges")
+    kind, size_fields, arity = "3graph", ("n",), 3
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         if n < 0:
@@ -218,16 +243,9 @@ class ThreeGraph:
                     raise ValueError(f"not a 3-set: {e}")
                 raise ValueError(f"edge {e} out of range for n={n}")
             norm_edges.append(t)
-        norm_edges.sort()
-        if any(map(tuple.__eq__, norm_edges, norm_edges[1:])):
-            raise ValueError("duplicate edges in input")
         self.n = n
-        self.edges = tuple(norm_edges)
-        _check_handshake(self.degree_sequence(), 3, len(self.edges))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+        self.edges = _sorted_distinct(norm_edges)
+        self._check_handshake()
 
     def degree_sequence(self) -> list[int]:
         deg = [0] * self.n
@@ -265,20 +283,8 @@ class ThreeGraph:
                 sub.append((u, v, rp[inr[0]]))
         return SemibipartiteThreeGraph(len(lt), len(rt), sub), lt, rt
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "3graph", "n": self.n, "edges": [list(e) for e in self.edges]}
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ThreeGraph) and self.n == other.n and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash(("3graph", self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"ThreeGraph(n={self.n}, edges={len(self.edges)})"
-
-
-class SemibipartiteThreeGraph:
+class SemibipartiteThreeGraph(_Host):
     """3-graph whose every edge has exactly two vertices in the left part.
 
     Edges are stored as (u, v, w) with left indices u < v < m and right index
@@ -286,6 +292,7 @@ class SemibipartiteThreeGraph:
     """
 
     __slots__ = ("m", "n", "edges")
+    kind, size_fields, arity = "semibipartite3", ("m", "n"), 3
 
     def __init__(self, m: int, n: int, edges: Iterable[tuple[int, int, int]]):
         if m < 0 or n < 0:
@@ -300,16 +307,10 @@ class SemibipartiteThreeGraph:
             if not (0 <= u < m and 0 <= v < m and 0 <= w < n):
                 raise ValueError(f"edge {e} out of range for parts ({m},{n})")
             norm_edges.append((u, v, w))
-        if len(set(norm_edges)) != len(norm_edges):
-            raise ValueError("duplicate edges in input")
         self.m = m
         self.n = n
-        self.edges = tuple(sorted(norm_edges))
-        _check_handshake(self.degree_sequence(), 3, len(self.edges))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+        self.edges = _sorted_distinct(norm_edges)
+        self._check_handshake()
 
     def degree_sequence(self) -> list[int]:
         """Degrees of left vertices 0..m-1 followed by right vertices 0..n-1."""
@@ -325,27 +326,6 @@ class SemibipartiteThreeGraph:
         return ThreeGraph(
             self.m + self.n, [(u, v, self.m + w) for u, v, w in self.edges]
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "semibipartite3",
-            "m": self.m,
-            "n": self.n,
-            "edges": [list(e) for e in self.edges],
-        }
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SemibipartiteThreeGraph)
-            and (self.m, self.n) == (other.m, other.n)
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash(("semibipartite3", self.m, self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"SemibipartiteThreeGraph(m={self.m}, n={self.n}, edges={len(self.edges)})"
 
 
 # -- shadows, links, degree statistics --
@@ -393,13 +373,8 @@ def link_degree(h: ThreeGraph | SemibipartiteThreeGraph, t: Iterable[int]):
     raise ValueError("T must have one or two vertices")
 
 
-def degree_stats(g: Graph | BipartiteGraph | ThreeGraph | SemibipartiteThreeGraph) -> DegreeStats:
-    if isinstance(g, Graph):
-        degs = [g.degree(v) for v in range(g.n)]
-    elif isinstance(g, BipartiteGraph):
-        degs = [a.bit_count() for a in g.left_adj] + [a.bit_count() for a in g.right_adj]
-    else:
-        degs = g.degree_sequence()
+def degree_stats(g: _Host) -> DegreeStats:
+    degs = g.degree_sequence()
     if not degs:
         return DegreeStats(0, 0, Fraction(0), ())
     return DegreeStats(max(degs), min(degs), Fraction(sum(degs), len(degs)), tuple(degs))
@@ -407,21 +382,33 @@ def degree_stats(g: Graph | BipartiteGraph | ThreeGraph | SemibipartiteThreeGrap
 
 # -- serialization --
 
-_KINDS = {"graph", "bipartite", "3graph", "semibipartite3"}
+_CLASSES = {cls.kind: cls for cls in (Graph, BipartiteGraph, ThreeGraph, SemibipartiteThreeGraph)}
 
 
-def from_json_dict(d: dict):
+def from_json_dict(d) -> _Host:
+    """Validate one graph JSON object and build its container.
+
+    A malformed object raises ValueError naming the field; the module
+    docstring lists what is checked here and what the constructors check.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"graph JSON must be an object, got {type(d).__name__}")
     kind = d.get("kind")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown kind: {kind!r}")
-    edges = [tuple(e) for e in d["edges"]]
-    if kind == "graph":
-        return Graph(d["n"], edges)
-    if kind == "bipartite":
-        return BipartiteGraph(d["m"], d["n"], edges)
-    if kind == "3graph":
-        return ThreeGraph(d["n"], edges)
-    return SemibipartiteThreeGraph(d["m"], d["n"], edges)
+    cls = _CLASSES.get(kind) if type(kind) is str else None
+    if cls is None:
+        raise ValueError(f"field 'kind' must be one of {', '.join(_CLASSES)}, got {kind!r}")
+    sizes = [d.get(key) for key in cls.size_fields]
+    for key, size in zip(cls.size_fields, sizes):
+        if type(size) is not int or size < 0:
+            raise ValueError(f"field {key!r} must be an integer >= 0, got {size!r}")
+    edges = d.get("edges")
+    if type(edges) is not list or not set(map(type, edges)) <= {list}:
+        raise ValueError("field 'edges' must be a list of lists")
+    if not set(map(len, edges)) <= {cls.arity}:
+        raise ValueError(f"field 'edges' must hold lists of {cls.arity} vertices")
+    if not set(map(type, chain.from_iterable(edges))) <= {int}:
+        raise ValueError("field 'edges' must hold integer vertices")
+    return cls(*sizes, map(tuple, edges))
 
 
 def dumps_canonical(obj) -> str:
@@ -436,7 +423,7 @@ def content_hash(obj) -> str:
     return hashlib.sha1(b"blob %d\0%s" % (len(payload), payload)).hexdigest()
 
 
-def loads(text: str):
+def loads(text: str) -> _Host:
     return from_json_dict(json.loads(text))
 
 

@@ -77,6 +77,7 @@ from .hypergraph import (
     Graph,
     SemibipartiteThreeGraph,
     ThreeGraph,
+    from_json_dict,
     iter_bits,
 )
 
@@ -281,16 +282,10 @@ def parse_pattern(text: str) -> PatternSpec:
         where = f"pattern file {base[1:]}"
         if not isinstance(d, dict) or d.get("kind") != "bipartite":
             raise ValueError(f"{where}: must contain a bipartite graph")
-        for key in ("m", "n"):
-            if type(d.get(key)) is not int or d[key] < 0:
-                raise ValueError(f"{where}: field {key!r} must be an integer >= 0")
-        edges = d.get("edges")
-        if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
-            for e in edges
-        ):
-            raise ValueError(f"{where}: field 'edges' must be a list of integer pairs")
-        core = BipartiteGraph(d["m"], d["n"], [tuple(e) for e in edges])
+        try:
+            core = from_json_dict(d)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         return PatternSpec(core, expansion, placement, base)
     raise ValueError(f"cannot parse pattern: {text!r}")
 

@@ -88,7 +88,14 @@ MAX_EX_THREE_VERTICES = 8
 MAX_Z_CELLS = 64
 MAX_Z_EXPANSION_SIDE = 4
 
-BOUND_IDS = ("kst_ex", "kst_z", "nv_cycle", "z_exp_i", "z_exp_ii")
+_BOUND_PARAMS = {
+    "kst_ex": ("n", "s", "t"),
+    "kst_z": ("m", "n", "s", "t"),
+    "nv_cycle": ("m", "n", "k"),
+    "z_exp_i": ("m", "n", "s1", "t1", "s2", "t2"),
+    "z_exp_ii": ("m", "n", "s1", "t1", "s2", "t2"),
+}
+BOUND_IDS = tuple(_BOUND_PARAMS)
 
 _BOUND_DPS = 40
 
@@ -477,15 +484,6 @@ class BoundCertificate:
         if self.components is not None:
             out["components"] = {k: float(v) for k, v in self.components.items()}
         return out
-
-
-_BOUND_PARAMS = {
-    "kst_ex": ("n", "s", "t"),
-    "kst_z": ("m", "n", "s", "t"),
-    "nv_cycle": ("m", "n", "k"),
-    "z_exp_i": ("m", "n", "s1", "t1", "s2", "t2"),
-    "z_exp_ii": ("m", "n", "s1", "t1", "s2", "t2"),
-}
 
 
 def _check_bound_params(bound_id: str, params: dict) -> dict[str, int]:

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -148,22 +150,85 @@ def test_induced_semibipartite():
 
 
 def test_json_round_trip_byte_identical():
-    objs = [
-        Graph(4, [(0, 1), (2, 3)]),
-        BipartiteGraph(2, 3, [(0, 0), (1, 2)]),
-        ThreeGraph(4, [(0, 1, 2)]),
-        SemibipartiteThreeGraph(3, 1, [(0, 2, 0)]),
-    ]
-    for obj in objs:
+    shown = {
+        Graph(4, [(0, 1), (2, 3)]): "Graph(n=4, edges=2)",
+        BipartiteGraph(2, 3, [(0, 0), (1, 2)]): "BipartiteGraph(m=2, n=3, edges=2)",
+        ThreeGraph(4, [(0, 1, 2)]): "ThreeGraph(n=4, edges=1)",
+        SemibipartiteThreeGraph(3, 1, [(0, 2, 0)]): "SemibipartiteThreeGraph(m=3, n=1, edges=1)",
+    }
+    for obj, text_repr in shown.items():
         text = dumps_canonical(obj)
         back = loads(text)
-        assert back == obj
+        assert back == obj and hash(back) == hash(obj)
         assert dumps_canonical(back) == text
+        assert repr(back) == text_repr
+        assert degree_stats(obj).degrees == tuple(obj.degree_sequence())
+        assert not hasattr(obj, "__dict__")
+    # equal sizes and equal (empty) edges, four kinds
+    empties = [Graph(2, []), BipartiteGraph(2, 2, []), ThreeGraph(2, []),
+               SemibipartiteThreeGraph(2, 2, [])]
+    for a, b in itertools.permutations([*shown, *empties], 2):
+        assert a != b
+    for a, b in itertools.permutations(empties, 2):
+        assert a.edges == b.edges and a.n == b.n and a != b
 
 
-def test_from_json_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        from_json_dict({"kind": "multigraph", "n": 1, "edges": []})
+def test_bipartite_degree_sequence_is_left_then_right():
+    g = BipartiteGraph(2, 3, [(0, 0), (0, 2), (1, 2)])
+    assert g.degree_sequence() == [2, 1, 1, 0, 2]
+    assert Graph(3, [(0, 2)]).degree_sequence() == [1, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        pytest.param([1, 2], "object", id="list"),
+        pytest.param("graph", "object", id="string"),
+        pytest.param(None, "object", id="null"),
+        pytest.param({"n": 1, "edges": []}, "'kind'", id="kind-missing"),
+        pytest.param({"kind": "multigraph", "n": 1, "edges": []}, "'kind'", id="kind-unknown"),
+        pytest.param({"kind": ["graph"], "n": 1, "edges": []}, "'kind'", id="kind-list"),
+        pytest.param({"kind": "graph", "edges": []}, "'n'", id="n-missing"),
+        pytest.param({"kind": "bipartite", "n": 2, "edges": []}, "'m'", id="m-missing"),
+        pytest.param({"kind": "semibipartite3", "m": 2, "edges": []}, "'n'", id="sb-n-missing"),
+        pytest.param({"kind": "bipartite", "m": 2, "n": -1, "edges": []}, "'n'", id="n-negative"),
+        pytest.param({"kind": "3graph", "n": 3.0, "edges": []}, "'n'", id="n-integral-float"),
+        pytest.param({"kind": "graph", "n": 1.5, "edges": []}, "'n'", id="n-float"),
+        pytest.param({"kind": "bipartite", "m": "3", "n": 1, "edges": []}, "'m'", id="m-string"),
+        pytest.param({"kind": "semibipartite3", "m": True, "n": 1, "edges": []}, "'m'",
+                     id="m-bool"),
+        pytest.param({"kind": "graph", "n": False, "edges": []}, "'n'", id="n-bool"),
+        pytest.param({"kind": "graph", "n": 3}, "'edges'", id="edges-missing"),
+        pytest.param({"kind": "graph", "n": 3, "edges": {"0": 1}}, "'edges'", id="edges-object"),
+        pytest.param({"kind": "graph", "n": 3, "edges": 5}, "'edges'", id="edges-int"),
+        pytest.param({"kind": "graph", "n": 3, "edges": [[0, 1], 2]}, "'edges'",
+                     id="edge-not-list"),
+        pytest.param({"kind": "graph", "n": 3, "edges": [[0, 1, 2]]}, "'edges'",
+                     id="graph-triple"),
+        pytest.param({"kind": "bipartite", "m": 2, "n": 2, "edges": [[0]]}, "'edges'",
+                     id="bipartite-single"),
+        pytest.param({"kind": "3graph", "n": 3, "edges": [[0, 1]]}, "'edges'", id="3graph-pair"),
+        pytest.param({"kind": "semibipartite3", "m": 2, "n": 1, "edges": [[0, 1, 0, 0]]},
+                     "'edges'", id="sb-quadruple"),
+        pytest.param({"kind": "graph", "n": 3, "edges": [[0, True]]}, "'edges'",
+                     id="vertex-bool"),
+        pytest.param({"kind": "graph", "n": 3, "edges": [[0, 1.5]]}, "'edges'",
+                     id="vertex-float"),
+        pytest.param({"kind": "bipartite", "m": 2, "n": 2, "edges": [[0, "a"]]}, "'edges'",
+                     id="vertex-string"),
+        pytest.param({"kind": "3graph", "n": 3, "edges": [[0, 1, None]]}, "'edges'",
+                     id="vertex-null"),
+        pytest.param({"kind": "semibipartite3", "m": 2, "n": 1, "edges": [[0, 1, 0.0]]},
+                     "'edges'", id="vertex-integral-float"),
+    ],
+)
+@pytest.mark.parametrize("reader", ["from_json_dict", "loads"])
+def test_malformed_graph_json_names_the_field(obj, field, reader):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        if reader == "loads":
+            loads(json.dumps(obj))
+        else:
+            from_json_dict(obj)
 
 
 def test_content_hash_is_git_blob_style():

@@ -1,6 +1,7 @@
 """Branch-and-bound solvers vs naive enumeration, plus bound certificates."""
 
 import csv
+import importlib.util
 from itertools import combinations
 from pathlib import Path
 
@@ -523,6 +524,23 @@ def test_regression_table_recompute():
         assert got == want, f"{row['quantity']} {row['params']}: {got} != {want}"
         checked += 1
     assert checked >= 16
+
+
+def test_regen_script_rows_match_the_table():
+    """scripts/regen_exact_values.py lists the table's rows, in file order.
+
+    Only the columns the script writes without solving are compared.
+    """
+    path = DATA.parent.parent / "scripts" / "regen_exact_values.py"
+    spec = importlib.util.spec_from_file_location("regen_exact_values", path)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    script = [
+        (quantity, regen.encode(params), bound_id, regen.encode(bound_params))
+        for quantity, params, bound_id, bound_params in regen.ROWS
+    ]
+    table = [(r["quantity"], r["params"], r["bound_id"], r["bound_params"]) for r in load_rows()]
+    assert script == table
 
 
 def test_regression_table_respects_bounds():
