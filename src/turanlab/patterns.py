@@ -69,7 +69,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import InvariantViolationError
 from .hypergraph import (
@@ -978,6 +978,29 @@ def expansion_through_triple(
         if _copy_through_pair(spec, adj, lm, rm, pair, 1 << apex, apex_match):
             return True
     return False
+
+
+def plan_take(host: GraphHost, specs) -> Callable[[tuple], bool]:
+    """The solvers' per-edge step on a host they grow: take(e) adds the edge
+    (a triple on a `ThreeGraphHost`) and returns True unless it completes a
+    copy of some spec, in which case the host is left as it was and it
+    returns False.  Specs the host's parts cannot hold are dropped first."""
+    specs = [s for s in specs if host.can_hold(s)]
+    if isinstance(host, ThreeGraphHost):
+        def hits(t):
+            return any(expansion_through_triple(host, s, t) for s in specs)
+    else:
+        def hits(e):
+            return any(pattern_through_edge(host, s, e[0], e[1]) for s in specs)
+
+    def take(e):
+        host.add(e)
+        if hits(e):
+            host.remove(e)
+            return False
+        return True
+
+    return take
 
 
 # -- greedy expansion extension --
