@@ -47,10 +47,10 @@ hold each host's pair links for as long as the host lives.
 
 The solver-facing checks `pattern_through_edge` and
 `expansion_through_triple` ask whether the edge (or triple) just added
-completes a copy, and both ask it of one anchored check, `_copy_through_pair`:
-does an accept callback (at rank 3, the apex match forced onto the anchored
-core edge) take some copy with a core edge on the host pair?  It anchors
-each of the spec's `arcs`, one directed core edge per orbit of the core's
+completes a copy, and both ask it of one anchored check: does an accept
+callback (at rank 3, the apex match forced onto the anchored core edge)
+take some copy with a core edge on the host pair?  It anchors each of the
+spec's `arcs`, one directed core edge per orbit of the core's
 automorphisms, on the pair in each orientation the placement allows.  A
 complete core runs `kst_through` with the pair as its edge 0: t-side
 candidates N(ha) minus hb, an s-side pool N(hb) minus ha, and a running
@@ -58,7 +58,11 @@ intersection that must keep t - 1 members.  For C4 through uv this is the
 test "N(u) minus v meets N(x) for some x in N(v) minus u".  `kst_through`
 returns at the first copy taken and recurses by plain calls, not as a
 generator: one check runs per added edge, and generator frames cost more
-than the search.  Any other core follows the cached plan from its arc.
+than the search.  Any other core follows its arc's embedding plan.  The
+orientations, arcs and plans depend only on the spec and the host's part
+masks, so `plan_take` fixes them once per solve and returns the solvers'
+step take(e), which adds e unless it completes a copy; the two checks
+above plan the same way on every call.
 """
 
 from __future__ import annotations
@@ -532,18 +536,25 @@ def _iter_core_embeddings(
     and the first free vertex's candidates are tried in ascending host
     degree.
     """
-    anchored_edges, steps = _embedding_plan(core_n, core_edges, tuple(sorted(pre or ())))
-    mapping = [-1] * core_n
+    anchors = tuple(sorted((pre or {}).items()))
+    plan = _embedding_plan(core_n, core_edges, tuple(cv for cv, _ in anchors))
+    return _planned_embeddings(plan, allowed, adj, anchors)
+
+
+def _planned_embeddings(plan, allowed: list[int], adj, anchors) -> Iterator[tuple[int, ...]]:
+    """`_iter_core_embeddings` once its plan is made: anchors holds the
+    (core vertex, host vertex) pairs of pre in core vertex order."""
+    anchored_edges, steps = plan
+    mapping = [-1] * len(allowed)
     used = 0
-    if pre:
-        for cv, hv in pre.items():
-            if not allowed[cv] >> hv & 1 or used >> hv & 1:
-                return
-            mapping[cv] = hv
-            used |= 1 << hv
-        for a, b in anchored_edges:
-            if not adj[mapping[a]] >> mapping[b] & 1:
-                return
+    for cv, hv in anchors:
+        if not allowed[cv] >> hv & 1 or used >> hv & 1:
+            return
+        mapping[cv] = hv
+        used |= 1 << hv
+    for a, b in anchored_edges:
+        if not adj[mapping[a]] >> mapping[b] & 1:
+            return
     last = len(steps)
 
     def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
@@ -756,16 +767,13 @@ def _iter_pattern_embeddings(spec: PatternSpec, adj, lm: int, rm: int) -> Iterat
         yield from _iter_core_embeddings(core.m + core.n, spec.combined_edges, allowed, adj)
 
 
-def _side_masks(
-    spec: PatternSpec, left_mask: int, right_mask: int, avoid: int = 0
-) -> tuple[tuple[int, int], ...]:
-    """Host masks (for the core's first part, for its second) to try, less
-    the avoid mask: both orientations for unordered placement with distinct
-    part masks, one otherwise."""
-    lm, rm = left_mask & ~avoid, right_mask & ~avoid
+def _side_masks(spec: PatternSpec, left_mask: int, right_mask: int) -> tuple[tuple[int, int], ...]:
+    """Host masks (for the core's first part, for its second) to try: both
+    orientations for unordered placement with distinct part masks, one
+    otherwise."""
     if spec.placement != "unordered" or left_mask == right_mask:
-        return ((lm, rm),)
-    return ((lm, rm), (rm, lm))
+        return ((left_mask, right_mask),)
+    return ((left_mask, right_mask), (right_mask, left_mask))
 
 
 # -- public searches --
@@ -915,89 +923,149 @@ def iter_graph_embeddings(g: Graph, spec: PatternSpec) -> Iterator[tuple[int, ..
     yield from _iter_core_embeddings(core.m + core.n, spec.combined_edges, allowed, list(g.adj))
 
 
-# -- solver-facing incremental checks (the host already holds the new edge) --
+# -- solver-facing incremental checks --
 
 
-def _copy_through_pair(spec: PatternSpec, adj, left_mask, right_mask, pair, avoid=0, accept=None) -> bool:
-    """Does accept(core_map, core edge index) take some copy of the core with
-    a core edge on the host pair?  Without accept any copy counts; host
-    vertices in the avoid mask stay unused.
+def _plan_through_pair(spec: PatternSpec, left_mask: int, right_mask: int):
+    """Plan the anchored check of one spec on a host with these part masks.
 
-    Each arc (ei, x, y) of the spec is anchored as x -> u, y -> v in each
-    orientation the placement allows: a complete core through `kst_through`,
-    any other through its cached embedding plan.  That is exact: a copy
-    with core edge e on the pair maps some arc of e onto (u, v), and the
-    automorphism carrying that arc to its orbit's representative carries
-    the copy, e's apex and its orientation (swapped with the parts) along.
+    Returns through(adj, u, v, avoid, accept): does accept(core_map, core
+    edge index) take some copy of the core with a core edge on the host
+    pair (u, v)?  Without accept any copy counts; host vertices in the
+    avoid mask stay unused.  The orientations the placement allows, the
+    spec's `arcs` and, for a core that is not complete, each arc's
+    embedding plan are fixed here, once.
+
+    Each arc (ei, x, y) is anchored as x -> u, y -> v in each orientation: a
+    complete core through `kst_through`, any other through its plan.  That
+    is exact: a copy with core edge e on the pair maps some arc of e onto
+    (u, v), and the automorphism carrying that arc to its orbit's
+    representative carries the copy, e's apex and its orientation (swapped
+    with the parts) along.  A complete core's check never reads the pair's
+    own bit (`kst_through` leaves ha out of the s-side pool and hb out of
+    the t-side), so it may run before the edge is added; any other core's
+    plan tests its anchored edge, so the host must hold the pair.
     """
-    u, v = pair
-    if not adj[u] >> v & 1:
-        return False
     s, t = spec.core.m, spec.core.n
-    # kst_through leads a copy's sides by core vertices 0 and s: edge 0
-    kst_accept = None if accept is None else (lambda s_side, t_side: accept(s_side + t_side, 0))
     # every core edge runs from the first part (lm) to the second (rm)
-    for lm, rm in _side_masks(spec, left_mask, right_mask, avoid):
-        if spec.is_complete:
-            for _, x, _ in spec.arcs:
-                ha, hb = (u, v) if x < s else (v, u)
+    sides = _side_masks(spec, left_mask, right_mask)
+    if spec.is_complete:
+        # an arc of a complete core lies on edge 0, from core vertex 0 to s
+        # or back: u leads the copy's s-side or its t-side
+        anchors = tuple((lm, rm, x < s) for lm, rm in sides for _, x, _ in spec.arcs)
+
+        def through(adj, u, v, avoid=0, accept=None):
+            kst_accept = None if accept is None else (lambda s_side, t_side: accept(s_side + t_side, 0))
+            for lm, rm, forward in anchors:
+                ha, hb = (u, v) if forward else (v, u)
+                lm &= ~avoid
+                rm &= ~avoid
                 if lm >> ha & 1 and rm >> hb & 1 and kst_through(adj, s, t, lm, rm, (ha, hb), kst_accept):
                     return True
-            continue
-        allowed = [lm] * s + [rm] * t
-        for ei, x, y in spec.arcs:
-            for emb in _iter_core_embeddings(s + t, spec.combined_edges, allowed, adj, {x: u, y: v}):
-                if accept is None or accept(emb, ei):
-                    return True
-    return False
+            return False
+
+        return through
+
+    plans = tuple(
+        (ei, x, y, _embedding_plan(s + t, spec.combined_edges, (min(x, y), max(x, y))))
+        for ei, x, y in spec.arcs
+    )
+
+    def through(adj, u, v, avoid=0, accept=None):
+        for lm, rm in sides:
+            allowed = [lm & ~avoid] * s + [rm & ~avoid] * t
+            for ei, x, y, plan in plans:
+                pre = ((x, u), (y, v)) if x < y else ((y, v), (x, u))
+                for emb in _planned_embeddings(plan, allowed, adj, pre):
+                    if accept is None or accept(emb, ei):
+                        return True
+        return False
+
+    return through
+
+
+def _plan_through_triple(spec: PatternSpec, host: ThreeGraphHost):
+    """Plan `expansion_through_triple` for one spec on this host: returns
+    hit(triple), which reads the host as it is when called.
+
+    Any new copy must realize one core edge as (pair of the triple, apex =
+    its third vertex), so the check anchors each decomposition in turn,
+    keeps the apex out of the core and forces it onto the anchored edge.
+    """
+    through = _plan_through_pair(spec, *host.placement_masks(spec))
+    adj, pair_link = host.adj, host.pair_link
+    combined_edges = spec.combined_edges
+
+    def hit(triple):
+        a, b, c = triple
+        for u, v, apex in ((a, b, c), (a, c, b), (b, c, a)):
+            def apex_match(core_map, ei):
+                return _try_apex_match(core_map, combined_edges, pair_link, forced=(ei, apex))
+            if through(adj, u, v, 1 << apex, apex_match):
+                return True
+        return False
+
+    return hit
 
 
 def pattern_through_edge(host: GraphHost, spec: PatternSpec, u: int, v: int) -> bool:
     """Does some copy of the pattern use host edge (u, v)?  The host holds it."""
-    return _copy_through_pair(spec, host.adj, host.left_mask, host.right_mask, (u, v))
+    if not host.adj[u] >> v & 1:
+        return False
+    return _plan_through_pair(spec, host.left_mask, host.right_mask)(host.adj, u, v)
 
 
 def expansion_through_triple(
     host: ThreeGraphHost, spec: PatternSpec, triple: tuple[int, int, int]
 ) -> bool:
-    """Does some expansion copy use the given host triple?  The host holds it.
-
-    Any new copy must realize one core edge as (pair of the triple, apex =
-    its third vertex), so the search anchors each decomposition in turn,
-    keeps the apex out of the core and forces it onto the anchored edge.
-    """
+    """Does some expansion copy use the given host triple?  The host holds it."""
     if not spec.expansion:
         raise ValueError("graph pattern against a 3-graph host")
-    lm, rm = host.placement_masks(spec)
-    adj, pair_link = host.adj, host.pair_link
-    combined_edges = spec.combined_edges
-    a, b, c = triple
-    for pair, apex in (((a, b), c), ((a, c), b), ((b, c), a)):
-        def apex_match(core_map, ei):
-            return _try_apex_match(core_map, combined_edges, pair_link, forced=(ei, apex))
-        if _copy_through_pair(spec, adj, lm, rm, pair, 1 << apex, apex_match):
-            return True
-    return False
+    return _plan_through_triple(spec, host)(triple)
 
 
 def plan_take(host: GraphHost, specs) -> Callable[[tuple], bool]:
     """The solvers' per-edge step on a host they grow: take(e) adds the edge
     (a triple on a `ThreeGraphHost`) and returns True unless it completes a
     copy of some spec, in which case the host is left as it was and it
-    returns False.  Specs the host's parts cannot hold are dropped first."""
+    returns False.
+
+    Specs the host's parts cannot hold are dropped first, and each kept
+    spec's check is planned here, once per host, as `pattern_through_edge`
+    and `expansion_through_triple` plan theirs on every call.  A complete
+    core's check at rank 2 runs before the edge is added, since it never
+    reads the pair's own bit, so a hit costs no add and no remove; every
+    other check runs on the host holding the new edge.
+    """
     specs = [s for s in specs if host.can_hold(s)]
+    add, remove = host.add, host.remove
     if isinstance(host, ThreeGraphHost):
-        def hits(t):
-            return any(expansion_through_triple(host, s, t) for s in specs)
-    else:
-        def hits(e):
-            return any(pattern_through_edge(host, s, e[0], e[1]) for s in specs)
+        hits = tuple(_plan_through_triple(s, host) for s in specs)
+
+        def take(t):
+            add(t)
+            for hit in hits:
+                if hit(t):
+                    remove(t)
+                    return False
+            return True
+
+        return take
+
+    adj, lm, rm = host.adj, host.left_mask, host.right_mask
+    before = tuple(_plan_through_pair(s, lm, rm) for s in specs if s.is_complete)
+    after = tuple(_plan_through_pair(s, lm, rm) for s in specs if not s.is_complete)
 
     def take(e):
-        host.add(e)
-        if hits(e):
-            host.remove(e)
-            return False
+        u, v = e
+        for through in before:
+            if through(adj, u, v):
+                return False
+        add(e)
+        for through in after:
+            if through(adj, u, v):
+                remove(e)
+                return False
         return True
 
     return take

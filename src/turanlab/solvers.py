@@ -12,47 +12,53 @@ small enough for exhaustive reasoning.  Three entry points set it up:
   expansion pattern and one core-in-V1 expansion pattern simultaneously.
 
 Each entry point hands the engine its lexicographic edge universe, the
-vertices whose degree each edge raises, an empty `turanlab.patterns` host
-(``GraphHost`` at rank 2, ``ThreeGraphHost`` at rank 3) that adds and
-removes an edge, and a ``hits`` test of an added edge against its patterns;
-the host's layout stays inside `turanlab.patterns`.  The engine walks the
-universe depth first, in one loop over an explicit stack of decided edges
-rather than by recursion, trying inclusion before exclusion, and prunes a
-branch when (i) the new edge completes a forbidden pattern, (ii) the
-incumbent cannot be beaten even if every remaining edge were added, (iii)
-symmetry breaking rules the branch out: tracked degrees must not increase
-with the vertex label, checked where a vertex's degree becomes final; there
-the vertex u just made final also caps every later vertex, so the branch is
-cut unless the final degrees of 0..u plus deg[u] for each later vertex
-could beat the incumbent (this needs degrees to become final in label
-order, as they do in all three entry points); and for ``z_exact`` and
-``z_expansion_exact`` the right part's columns of the row-major universe
-must be in non-increasing lex order, checked at every row end, or (iv) the
-degree floor can no longer be met: with symmetry breaking on, vertex 0
-carries the largest degree of every surviving host, so only its degree is
-tested; with it off, no vertex may still reach the floor.  All of these are
-exact: every host has a relabelled copy that passes (iii), with the same
-edge count and maximum degree, and the cap only drops branches that cannot
-strictly beat the incumbent.  Because inclusion is tried first and the
-incumbent is replaced only on strict improvement, the reported witness is
-the lexicographically smallest optimal edge set among the hosts the
-symmetry-reduced search visits.  Every witness is re-verified against the
-full pattern finders before being returned.
+vertices whose degree each edge raises, and the step `plan_take` builds for
+an empty `turanlab.patterns` host (``GraphHost`` at rank 2,
+``ThreeGraphHost`` at rank 3): take(e) adds an edge unless it completes a
+forbidden pattern, and the host's ``remove`` takes it out again; the host's
+layout stays inside `turanlab.patterns`.  The engine walks the universe
+depth first, in one loop over an explicit stack of decided edges rather
+than by recursion, trying inclusion before exclusion, and prunes a branch
+when (i) the new edge completes a forbidden pattern, (ii) the incumbent
+cannot be beaten even if every remaining edge were added, (iii) symmetry
+breaking rules the branch out: tracked degrees must not increase with the
+vertex label, checked where a vertex's degree becomes final; and at every
+node, with u the largest vertex already final and a = u + 1, a and every
+later vertex end with degree at most c = min(deg[u], deg[a] plus the
+remaining edges that raise a), so the branch is cut unless the final
+degrees of 0..u plus c for each later vertex could beat the incumbent
+(this needs degrees to become final in label order, as they do in all
+three entry points); and for ``z_exact`` and ``z_expansion_exact`` the
+right part's columns of the row-major universe must be in non-increasing
+lex order, checked at every row end, or (iv) the degree floor can no
+longer be met: with symmetry breaking on, vertex 0 carries the largest
+degree of every surviving host, so only its degree is tested; with it off,
+no vertex may still reach the floor.  All of these are exact: every host
+has a relabelled copy that passes (iii), with the same edge count and
+maximum degree, and the cap only drops branches that cannot strictly beat
+the incumbent: on a leaf that passes (iii) degrees do not increase past u,
+so no later vertex exceeds a's final degree, which is bounded both ways
+above.  Because inclusion is tried first and the incumbent is replaced
+only on strict improvement, the reported witness is the lexicographically
+smallest optimal edge set among the hosts the symmetry-reduced search
+visits.  Every witness is re-verified against the full pattern finders
+before being returned.
 
-Rule (i) is the hot path: one `pattern_through_edge` or
-`expansion_through_triple` call per included edge.  Both anchor on the new
-pair one directed core edge per symmetry class of the core
-(`PatternSpec.arcs`: one for C4 and for C6); see `turanlab.patterns`.
-Before the search, building ``hits`` drops the patterns the host's parts
-cannot hold (`GraphHost.can_hold`), so (i) never asks about them.  The
-apexes of an expansion are distinct and lie outside its core, and every
-triple of a semibipartite host has two left vertices and one right, so an
-ordered copy needs core.m + |F| left vertices and a core-in-V1 copy |F|
-right ones; any copy needs v(F) + |F| vertices in all.  A pattern that
-fails these counts has no copy in any host with those parts, so (i) would
-answer false on every edge: dropping it keeps every decision, node count
-and witness.  An ordered K{2,2}+, for one, needs 6 left vertices, more
-than any ``z_expansion_exact`` host up to the side cap has.
+Rule (i) is the hot path: one planned check per tested edge, the anchored
+`pattern_through_edge` or `expansion_through_triple` with its masks, arcs
+and embedding plans fixed once per solve.  Both anchor on the new pair one
+directed core edge per symmetry class of the core (`PatternSpec.arcs`: one
+for C4 and for C6); see `turanlab.patterns`.  Before the search,
+`plan_take` drops the patterns the host's parts cannot hold
+(`GraphHost.can_hold`), so (i) never asks about them.  The apexes of an
+expansion are distinct and lie outside its core, and every triple of a
+semibipartite host has two left vertices and one right, so an ordered copy
+needs core.m + |F| left vertices and a core-in-V1 copy |F| right ones; any
+copy needs v(F) + |F| vertices in all.  A pattern that fails these counts
+has no copy in any host with those parts, so (i) would answer false on
+every edge: dropping it keeps every decision, node count and witness.  An
+ordered K{2,2}+, for one, needs 6 left vertices, more than any
+``z_expansion_exact`` host up to the side cap has.
 
 ``eval_bound`` evaluates the closed-form upper bounds that accompany the
 solvers with high-precision arithmetic (mpmath) and records which formula
@@ -75,12 +81,11 @@ from .patterns import (
     GraphHost,
     PatternSpec,
     ThreeGraphHost,
-    expansion_through_triple,
     find_expansion,
     find_in_graph,
     find_ordered_bipartite,
     normalize_specs,
-    pattern_through_edge,
+    plan_take,
 )
 
 MAX_EX_GRAPH_VERTICES = 10
@@ -121,34 +126,6 @@ class SolveResult:
         }
 
 
-def _edge_hits(host: GraphHost, specs) -> Callable[[tuple[int, int]], bool]:
-    """The engine's test at rank 2: does an added edge complete some copy?
-    Specs the host's parts cannot hold are dropped first."""
-    specs = [s for s in specs if host.can_hold(s)]
-
-    def hits(e):
-        for s in specs:
-            if pattern_through_edge(host, s, e[0], e[1]):
-                return True
-        return False
-
-    return hits
-
-
-def _triple_hits(host: ThreeGraphHost, specs) -> Callable[[tuple[int, int, int]], bool]:
-    """The engine's test at rank 3: does an added triple complete some copy?
-    Specs the host's parts cannot hold are dropped first."""
-    specs = [s for s in specs if host.can_hold(s)]
-
-    def hits(t):
-        for s in specs:
-            if expansion_through_triple(host, s, t):
-                return True
-        return False
-
-    return hits
-
-
 def _recheck(witness, best: int, find, specs) -> None:
     """Raise unless `find` sees no pattern in the witness, of `best` edges."""
     if any(find(witness, s) is not None for s in specs):
@@ -163,28 +140,37 @@ def _branch_and_bound(
     nv_deg: int,
     divisor: int,
     symmetry: bool,
-    host: GraphHost | ThreeGraphHost,
-    hits: Callable[[tuple], bool],
+    take: Callable[[tuple], bool],
+    remove: Callable[[tuple], None],
     floor: int | None = None,
     row_width: int = 0,
 ) -> tuple[int, tuple[int, ...], int]:
-    """Largest subset of the edge universe that ``hits`` accepts.
+    """Largest subset of the edge universe that ``take`` accepts.
 
-    Edges are decided in universe order, inclusion first; an edge is added
-    to ``host`` and kept only if ``hits(edge)`` is then false.
+    Edges are decided in universe order, inclusion first; ``take(edge)``
+    adds an edge to the host unless it completes a pattern copy, and says
+    which, and ``remove`` takes an included edge out again on backtracking.
     ``raises[i]`` lists the degree-tracked vertices (labels below
     ``nv_deg``) whose degree edge i raises; every edge raises exactly
     ``divisor`` of them, so tracked degrees sum to ``divisor * |E|``.  A
     vertex's degree is final one past the last edge that raises it; with
     ``symmetry`` set, a branch is cut there when that degree exceeds its
     predecessor's, so every surviving leaf has non-increasing degrees over
-    the tracked vertices that some edge raises.  At the same point the
-    branch is cut when ``sum(deg[:u + 1]) + (nv_deg - u - 1) * deg[u]``,
-    for the largest vertex u made final there, cannot beat the incumbent
-    once divided by ``divisor``: on a surviving leaf no later vertex
-    exceeds ``deg[u]``.  The cap needs degrees to become final in label
-    order, so that every vertex below u is final once u is; the lex edge
-    universes of all three entry points have that order.
+    the tracked vertices that some edge raises.
+
+    With ``symmetry`` set, every node is also capped by degrees.  At node i
+    let u be the largest vertex already final and a = u + 1.  On a
+    surviving leaf a and every later vertex end with degree at most
+    deg[a]'s, which is at most deg[u] (u is final) and at most deg[a] plus
+    the edges from index i on that raise a; call the smaller c.  So a leaf
+    below node i has at most ``(S + (nv_deg - u - 1) * c) // divisor``
+    edges, where S is the sum of deg[0..u], and the branch is cut when
+    that cannot beat the incumbent.  It drops only subtrees with no leaf
+    above the incumbent, so the witness is unchanged.  The cap needs
+    degrees to become final in label order, so that every vertex below u
+    is final once u is; the lex edge universes of all three entry points
+    have that order.  S is summed once, at the node where u becomes final:
+    deg[0..u] do not change below it.
 
     With ``floor`` set, a branch is cut once no tracked vertex can still
     reach that degree.  With ``symmetry`` set as well, every tracked vertex
@@ -216,13 +202,22 @@ def _branch_and_bound(
         for x in vs:
             final_at[x] = i + 1
     # what the loop head checks at node i, looked up by index: the vertices
-    # made final there (symmetry), whether a row ends there (column order),
-    # and the degrees the remaining edges can still add (floor)
+    # made final there and, past the first of them, (u, nv_deg - u - 1, the
+    # raises of u + 1 from i on) for the largest final u (symmetry), whether
+    # a row ends there (column order), and the degrees the remaining edges
+    # can still add (floor)
     sym_at: list[tuple[int, ...]] = [()] * (L + 1)
+    cap_at: list[tuple[int, int, int] | None] = [None] * (L + 1)
     if symmetry:
         for u in sorted(final_at):
-            if u:
-                sym_at[final_at[u]] += (u,)
+            sym_at[final_at[u]] += (u,)
+        u = -1
+        for i in range(L + 1):
+            if sym_at[i]:
+                u = sym_at[i][-1]
+            if 0 <= u < nv_deg - 1:
+                more = sum(u + 1 in vs for vs in raises[i:])
+                cap_at[i] = (u, nv_deg - u - 1, more)
     row_end = [False] * (L + 1)
     cols: list[int] = []
     if symmetry and row_width:
@@ -244,13 +239,17 @@ def _branch_and_bound(
             # shorter list
             suffix = [row[:1] for row in suffix]
 
-    add_edge, remove_edge = host.add, host.remove
-    deg = [0] * nv_deg
+    # deg[-1], past the tracked vertices, is a degree no vertex reaches, so
+    # vertex 0 passes the order check against its "predecessor"
+    deg = [0] * nv_deg + [L + 1]
+    # fixed[u]: the sum of deg[0..u], set where u becomes final
+    fixed = [0] * nv_deg
     # one entry per decided edge, in universe order: i while the inclusion
     # branch of edge i is open, ~i once its exclusion branch is
     stack: list[int] = []
     count = 0
     best = -1
+    need = 0  # the smallest tracked degree total that beats best
     best_chosen: tuple[int, ...] = ()
     nodes = 0
     i = 0
@@ -267,10 +266,14 @@ def _branch_and_bound(
                         break
                 if deg[u] > deg[u - 1]:  # the loop stopped at u
                     break
-                # u is the last vertex made final: vertices up to u are
-                # final, and every later degree is capped by deg[u] on any
-                # surviving leaf, bounding the total edge count
-                if (sum(deg[:u + 1]) + (nv_deg - u - 1) * deg[u]) // divisor <= best:
+                fixed[u] = sum(deg[:u + 1])
+            cap = cap_at[i]
+            if cap:
+                u, rest, more = cap
+                most = deg[u + 1] + more
+                if most > deg[u]:
+                    most = deg[u]
+                if fixed[u] + rest * most < need:
                     break
             if row_end[i] and cols != sorted(cols, reverse=True):
                 break
@@ -278,14 +281,10 @@ def _branch_and_bound(
                 break
             if i == L:
                 best = count
+                need = (best + 1) * divisor
                 best_chosen = tuple(j for j in stack if j >= 0)
                 break
-            e = universe[i]
-            add_edge(e)
-            if hits(e):
-                remove_edge(e)
-                stack.append(~i)
-            else:
+            if take(universe[i]):
                 for x in raises[i]:
                     deg[x] += 1
                 if cols:
@@ -293,6 +292,8 @@ def _branch_and_bound(
                     cols[c] += bit
                 stack.append(i)
                 count += 1
+            else:
+                stack.append(~i)
             i += 1
         # backtrack: drop closed exclusion branches, then turn the deepest
         # inclusion into its exclusion
@@ -307,7 +308,7 @@ def _branch_and_bound(
         if cols:
             c, bit = cell[i]
             cols[c] -= bit
-        remove_edge(universe[i])
+        remove(universe[i])
         count -= 1
         stack.append(~i)
         i += 1
@@ -343,7 +344,6 @@ def ex_exact(
         rank = 2
         max_degree = max(n - 1, 0)
         host = GraphHost(n)
-        hits = _edge_hits(host, specs)
         build, find = Graph, find_in_graph
     elif host_kind == "3graph":
         if n > MAX_EX_THREE_VERTICES:
@@ -356,7 +356,6 @@ def ex_exact(
         rank = 3
         max_degree = (n - 1) * (n - 2) // 2 if n >= 2 else 0
         host = ThreeGraphHost(n)
-        hits = _triple_hits(host, specs)
         build, find = ThreeGraph, find_expansion
     else:
         raise ValueError(f"unknown host kind {host_kind!r}")
@@ -374,7 +373,9 @@ def ex_exact(
             floor = None
 
     universe = list(combinations(range(n), rank))
-    best, chosen, nodes = _branch_and_bound(universe, universe, n, rank, symmetry, host, hits, floor)
+    best, chosen, nodes = _branch_and_bound(
+        universe, universe, n, rank, symmetry, plan_take(host, specs), host.remove, floor
+    )
 
     if best < 0:
         return SolveResult(0, None, nodes)
@@ -408,8 +409,8 @@ def z_exact(
     cells = [(u, w) for u in range(m) for w in range(n)]
     host = GraphHost(m, n)
     best, chosen, nodes = _branch_and_bound(
-        [(u, m + w) for u, w in cells], [(u,) for u, _ in cells], m, 1, symmetry, host,
-        _edge_hits(host, specs), row_width=n,
+        [(u, m + w) for u, w in cells], [(u,) for u, _ in cells], m, 1, symmetry,
+        plan_take(host, specs), host.remove, row_width=n,
     )
 
     witness = BipartiteGraph(m, n, [cells[i] for i in chosen])
@@ -446,8 +447,8 @@ def z_expansion_exact(
     cells = [(u, v, w) for u, v in combinations(range(m), 2) for w in range(n)]
     host = ThreeGraphHost(m, n)
     best, chosen, nodes = _branch_and_bound(
-        [(u, v, m + w) for u, v, w in cells], [(u, v) for u, v, _ in cells], m, 2, symmetry, host,
-        _triple_hits(host, specs), row_width=n,
+        [(u, v, m + w) for u, v, w in cells], [(u, v) for u, v, _ in cells], m, 2, symmetry,
+        plan_take(host, specs), host.remove, row_width=n,
     )
 
     witness = SemibipartiteThreeGraph(m, n, [cells[i] for i in chosen])

@@ -183,7 +183,7 @@ def test_ex_c6_search_is_pinned():
     # suite: a change to the anchored check must keep all three, and a
     # sharper symmetry cut may move only the search size
     r = ex_exact(7, parse_pattern("C6"))
-    assert (r.value, r.nodes_explored) == (13, 10105)
+    assert (r.value, r.nodes_explored) == (13, 5396)
     assert content_hash(r.witness) == "120979bd02b8f7d20df7cf32b5b4ddf56e65fa48"
 
 
