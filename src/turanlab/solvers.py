@@ -62,7 +62,8 @@ ordered K{2,2}+, for one, needs 6 left vertices, more than any
 
 ``eval_bound`` evaluates the closed-form upper bounds that accompany the
 solvers with high-precision arithmetic (mpmath) and records which formula
-branch applied.  Comparisons against exact integers should use the
+branch applied.  mpmath is imported inside the bound evaluators, the only
+code that needs it, so a solve, a scan or a CLI start does not load it.  Comparisons against exact integers should use the
 high-precision value, never a rounded float.
 """
 
@@ -72,8 +73,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import add
 from typing import Callable, Sequence
-
-import mpmath
 
 from .errors import CapExceededError, InvariantViolationError
 from .hypergraph import BipartiteGraph, Graph, SemibipartiteThreeGraph, ThreeGraph
@@ -475,6 +474,8 @@ class BoundCertificate:
     components: dict | None = None
 
     def to_json_dict(self) -> dict:
+        import mpmath
+
         out = {
             "bound_id": self.bound_id,
             "params": dict(self.params),
@@ -518,6 +519,8 @@ def z_expansion_components(
     Variant "i" treats the host as dominated by right-side growth, variant
     "ii" by left-side growth; both share r and h.  Values are mpmath reals.
     """
+    import mpmath
+
     if variant not in ("i", "ii"):
         raise ValueError("variant must be 'i' or 'ii'")
     with mpmath.workdps(_BOUND_DPS):
@@ -556,6 +559,8 @@ def eval_bound(bound_id: str, params: dict) -> BoundCertificate:
     """
     if bound_id not in _BOUND_PARAMS:
         raise ValueError(f"unknown bound id {bound_id!r}; known: {', '.join(BOUND_IDS)}")
+    import mpmath
+
     vals = _check_bound_params(bound_id, params)
     components = None
     branch = "direct"
