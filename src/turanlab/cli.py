@@ -23,7 +23,9 @@ Any form may carry a trailing ``+`` for the 3-graph expansion (one fresh
 apex per core edge) and an optional placement word: ``ordered`` maps core
 parts onto host parts in order; ``core-in-V1`` pins an expansion's core
 pairs inside the left part.  Examples: ``C6``, ``K{2,3}+``,
-``K{2,2}+ ordered``, ``@core.json+ core-in-V1``.
+``K{2,2}+ ordered``, ``@core.json+ core-in-V1``.  A core of more than
+``patterns.MAX_PATTERN_VERTICES`` (64) vertices exits 3 before it is
+built.
 
 Graph JSON schema (construct output and pattern files):
 ``{"kind": "graph"|"bipartite"|"3graph"|"semibipartite3", "n": int`` (plus

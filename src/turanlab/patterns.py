@@ -75,7 +75,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator
 
-from .errors import InvariantViolationError
+from .errors import CapExceededError, InvariantViolationError
 from .hypergraph import (
     BipartiteGraph,
     Graph,
@@ -86,6 +86,10 @@ from .hypergraph import (
 )
 
 PLACEMENTS = ("unordered", "ordered", "core-in-V1")
+
+# the most core vertices a parsed pattern may have, checked before its core
+# is built
+MAX_PATTERN_VERTICES = 64
 
 
 @dataclass(frozen=True)
@@ -259,7 +263,11 @@ _THETA_RE = re.compile(r"^theta\{(\d+),(\d+),(\d+)\}$")
 
 
 def parse_pattern(text: str) -> PatternSpec:
-    """Parse the compact pattern syntax (grammar documented in turanlab.cli)."""
+    """Parse the compact pattern syntax (grammar documented in turanlab.cli).
+
+    A core of more than `MAX_PATTERN_VERTICES` vertices raises
+    CapExceededError before it is built.
+    """
     tokens = text.strip().split()
     if not tokens or len(tokens) > 2:
         raise ValueError(f"cannot parse pattern: {text!r}")
@@ -272,12 +280,26 @@ def parse_pattern(text: str) -> PatternSpec:
     expansion = base.endswith("+")
     if expansion:
         base = base[:-1]
+
+    def capped(vertices: int) -> None:
+        if vertices > MAX_PATTERN_VERTICES:
+            raise CapExceededError(
+                f"pattern {base!r} has {vertices} core vertices; "
+                f"patterns are capped at {MAX_PATTERN_VERTICES}"
+            )
+
     if m := _KST_RE.match(base):
-        return complete_bipartite(int(m.group(1)), int(m.group(2)), expansion, placement)
+        s, t = int(m.group(1)), int(m.group(2))
+        capped(s + t)
+        return complete_bipartite(s, t, expansion, placement)
     if m := _CYC_RE.match(base):
-        return even_cycle(int(m.group(1)), expansion, placement)
+        length = int(m.group(1))
+        capped(length)
+        return even_cycle(length, expansion, placement)
     if m := _THETA_RE.match(base):
-        return theta(int(m.group(1)), int(m.group(2)), int(m.group(3)), expansion, placement)
+        lens = int(m.group(1)), int(m.group(2)), int(m.group(3))
+        capped(sum(lens) - 1)  # two hubs and the paths' inner vertices
+        return theta(*lens, expansion, placement)
     if base == "grid2x2":
         return grid_2x2(expansion, placement)
     if base.startswith("@"):
@@ -286,6 +308,9 @@ def parse_pattern(text: str) -> PatternSpec:
         where = f"pattern file {base[1:]}"
         if not isinstance(d, dict) or d.get("kind") != "bipartite":
             raise ValueError(f"{where}: must contain a bipartite graph")
+        sizes = d.get("m"), d.get("n")
+        if all(type(size) is int and size >= 0 for size in sizes):
+            capped(sum(sizes))
         try:
             core = from_json_dict(d)
         except ValueError as exc:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from turanlab.errors import InvariantViolationError
+from turanlab.errors import CapExceededError, InvariantViolationError
 from turanlab.hypergraph import BipartiteGraph, Graph, SemibipartiteThreeGraph, ThreeGraph
 from turanlab.patterns import (
     EmbeddingWitness,
@@ -25,6 +25,7 @@ from turanlab.patterns import (
     grid_2x2,
     heavy_shadow_graph,
     iter_graph_embeddings,
+    MAX_PATTERN_VERTICES,
     parse_pattern,
     pattern_through_edge,
     remove_vertex,
@@ -231,6 +232,24 @@ def test_parse_pattern_file(tmp_path):
     assert (spec.core.m, spec.core.n, spec.core.edge_count) == (1, 2, 2)
     spec = parse_pattern(f"@{path}+ ordered")
     assert spec.expansion and spec.placement == "ordered"
+
+
+def test_parse_pattern_caps_core_vertices(tmp_path):
+    # at the cap every form parses; one vertex more raises before a core is built
+    assert MAX_PATTERN_VERTICES == 64
+    for text in ("K{63,1}", "C64", "theta{21,21,23}"):
+        assert parse_pattern(text).vertex_count == 64
+    for text in ("K{64,1}", "K{1,64}+", "C66", "theta{21,21,25} ordered"):
+        with pytest.raises(CapExceededError, match="capped at 64"):
+            parse_pattern(text)
+    path = tmp_path / "big.json"
+    path.write_text('{"kind":"bipartite","m":60,"n":5,"edges":[]}')
+    with pytest.raises(CapExceededError, match="65 core vertices"):
+        parse_pattern(f"@{path}")
+    # a malformed size is still the reader's error, not the cap's
+    path.write_text('{"kind":"bipartite","m":-1,"n":500,"edges":[]}')
+    with pytest.raises(ValueError, match="'m'"):
+        parse_pattern(f"@{path}")
 
 
 def test_display_name():
