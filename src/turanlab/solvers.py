@@ -90,7 +90,7 @@ from .patterns import (
 MAX_EX_GRAPH_VERTICES = 10
 MAX_EX_THREE_VERTICES = 8
 MAX_Z_CELLS = 64
-MAX_Z_EXPANSION_SIDE = 4
+MAX_Z_EXPANSION_SIDE = 5
 
 _BOUND_PARAMS = {
     "kst_ex": ("n", "s", "t"),

@@ -265,7 +265,11 @@ def test_caps():
         z_exact(8, 9, parse_pattern("K{2,2}"))
     with pytest.raises(CapExceededError):
         z_expansion_exact(
-            5, 2, parse_pattern("K{2,2}+ ordered"), parse_pattern("K{2,2}+ core-in-V1")
+            6, 2, parse_pattern("K{2,2}+ ordered"), parse_pattern("K{2,2}+ core-in-V1")
+        )
+    with pytest.raises(CapExceededError):
+        z_expansion_exact(
+            2, 6, parse_pattern("K{2,2}+ ordered"), parse_pattern("K{2,2}+ core-in-V1")
         )
 
 
