@@ -144,31 +144,6 @@ class Graph(_Host):
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def induced(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph with dense relabeling; returns (graph, old labels)."""
-        labels = tuple(sorted(set(vertices)))
-        pos = {v: i for i, v in enumerate(labels)}
-        sub = [(pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos]
-        return Graph(len(labels), sub), labels
-
-    def induced_bipartite(
-        self, left: Iterable[int], right: Iterable[int]
-    ) -> tuple["BipartiteGraph", tuple[int, ...], tuple[int, ...]]:
-        """Edges of this graph crossing two disjoint vertex sets, relabeled densely."""
-        lt = tuple(sorted(set(left)))
-        rt = tuple(sorted(set(right)))
-        if set(lt) & set(rt):
-            raise ValueError("parts must be disjoint")
-        lp = {v: i for i, v in enumerate(lt)}
-        rp = {v: i for i, v in enumerate(rt)}
-        sub = []
-        for u, v in self.edges:
-            if u in lp and v in rp:
-                sub.append((lp[u], rp[v]))
-            elif v in lp and u in rp:
-                sub.append((lp[v], rp[u]))
-        return BipartiteGraph(len(lt), len(rt), sub), lt, rt
-
 
 class BipartiteGraph(_Host):
     """Bipartite graph with ordered parts of sizes m (left) and n (right)."""
@@ -351,26 +326,6 @@ def shadow(h: ThreeGraph | SemibipartiteThreeGraph, i: int):
             verts.update(e)
         return verts
     raise ValueError(f"shadow order must be 1 or 2, got {i}")
-
-
-def link_degree(h: ThreeGraph | SemibipartiteThreeGraph, t: Iterable[int]):
-    """Link of a 1- or 2-subset and its degree.
-
-    |T| = 1: the link is the set of pairs completing T to an edge (a graph on
-    the remaining vertices).  |T| = 2: the set of completing vertices.
-    Returns (link, degree) with degree = len(link).
-    """
-    if isinstance(h, SemibipartiteThreeGraph):
-        h = h.to_three_graph()
-    tset = frozenset(t)
-    if len(tset) == 1:
-        (v,) = tset
-        link = {tuple(sorted(set(e) - tset)) for e in h.edges if v in e}
-        return link, len(link)
-    if len(tset) == 2:
-        link = {next(iter(set(e) - tset)) for e in h.edges if tset <= set(e)}
-        return link, len(link)
-    raise ValueError("T must have one or two vertices")
 
 
 def degree_stats(g: _Host) -> DegreeStats:

@@ -172,16 +172,6 @@ class ExpansionWitness:
     apexes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExpandedGraph:
-    """Expansion of a graph: original vertices 0..core_n-1, one apex per edge."""
-
-    hypergraph: ThreeGraph
-    core_n: int
-    core_edges: tuple[tuple[int, int], ...]
-    apexes: tuple[int, ...]
-
-
 # -- pattern library --
 
 
@@ -355,24 +345,6 @@ def remove_vertex(spec: PatternSpec, v: int) -> PatternSpec:
         edges = [(u, remap[w]) for u, w in core.edges if w != w0]
         new_core = BipartiteGraph(core.m, core.n - 1, edges)
     return PatternSpec(new_core, spec.expansion, spec.placement, f"{spec.name or 'pattern'}-v{v}")
-
-
-# -- expansion of a concrete graph --
-
-
-def expand(f: Graph | BipartiteGraph) -> ExpandedGraph:
-    """The 3-graph F+ with one fresh apex per edge of F."""
-    if isinstance(f, BipartiteGraph):
-        core_n = f.m + f.n
-        core_edges = tuple(sorted((u, f.m + w) for u, w in f.edges))
-    else:
-        core_n = f.n
-        core_edges = f.edges
-    apexes = tuple(core_n + i for i in range(len(core_edges)))
-    triples = [(u, v, apexes[i]) for i, (u, v) in enumerate(core_edges)]
-    return ExpandedGraph(
-        ThreeGraph(core_n + len(core_edges), triples), core_n, core_edges, apexes
-    )
 
 
 # -- low-level search engines --

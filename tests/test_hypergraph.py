@@ -17,7 +17,6 @@ from turanlab.hypergraph import (
     dumps_canonical,
     from_graph6,
     from_json_dict,
-    link_degree,
     loads,
     shadow,
     to_graph6,
@@ -82,15 +81,6 @@ def test_shadow_example():
         shadow(h, 3)
 
 
-def test_link_degree_example():
-    h = ThreeGraph(4, [(0, 1, 2), (0, 1, 3)])
-    link, deg = link_degree(h, (0, 1))
-    assert link == {2, 3} and deg == 2
-    link1, deg1 = link_degree(h, (0,))
-    assert link1 == {(1, 2), (1, 3)} and deg1 == 2
-    assert link_degree(h, (2, 3))[1] == 0
-
-
 def test_three_graph_degree_stats():
     h = ThreeGraph(4, [(0, 1, 2), (0, 1, 3)])
     st = degree_stats(h)
@@ -123,22 +113,6 @@ def test_handshake_on_random_structures():
         ]
         h = ThreeGraph(n, [t for t in triples if rng.random() < 0.3])
         assert sum(h.degree_sequence()) == 3 * h.edge_count
-
-
-def test_induced_relabels_densely():
-    g = Graph(6, [(0, 2), (2, 4), (4, 5), (1, 3)])
-    sub, labels = g.induced([2, 4, 5])
-    assert labels == (2, 4, 5)
-    assert sub.n == 3 and sub.edges == ((0, 1), (1, 2))
-
-
-def test_induced_bipartite():
-    g = Graph(5, [(0, 1), (0, 3), (1, 2), (2, 3), (0, 4)])
-    b, lt, rt = g.induced_bipartite([0, 2], [1, 3])
-    assert (lt, rt) == ((0, 2), (1, 3))
-    assert b.edges == ((0, 0), (0, 1), (1, 0), (1, 1))
-    with pytest.raises(ValueError):
-        g.induced_bipartite([0, 1], [1, 2])
 
 
 def test_induced_semibipartite():

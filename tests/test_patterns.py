@@ -16,7 +16,6 @@ from turanlab.patterns import (
     ThreeGraphHost,
     complete_bipartite,
     even_cycle,
-    expand,
     expansion_through_triple,
     find_expansion,
     find_in_graph,
@@ -265,22 +264,6 @@ def test_remove_vertex():
     assert (right_removed.core.m, right_removed.core.n, right_removed.core.edge_count) == (2, 1, 2)
     with pytest.raises(ValueError):
         remove_vertex(k22, 4)
-
-
-def test_expand_triangle():
-    tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    ex = expand(tri)
-    assert ex.hypergraph.n == 6
-    assert ex.hypergraph.edges == ((0, 1, 3), (0, 2, 4), (1, 2, 5))
-    assert ex.apexes == (3, 4, 5)
-
-
-def test_expand_bipartite_core():
-    ex = expand(complete_bipartite(2, 2).core)
-    assert ex.core_n == 4
-    assert ex.hypergraph.n == 8
-    assert len(ex.hypergraph.edges) == 4
-    assert ex.core_edges == ((0, 2), (0, 3), (1, 2), (1, 3))
 
 
 # -- frozen containment facts --
