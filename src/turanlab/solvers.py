@@ -36,9 +36,9 @@ degree of every surviving host, so only its degree is tested; with it off,
 no vertex may still reach the floor.  All of these are exact: every host
 has a relabelled copy that passes (iii), with the same edge count and
 maximum degree, and the cap only drops branches that cannot strictly beat
-the incumbent: on a leaf that passes (iii) degrees do not increase past u,
-so no later vertex exceeds a's final degree, which is bounded both ways
-above.  Because inclusion is tried first and the incumbent is replaced
+the incumbent: on a leaf that passes (iii) no vertex after a ends above
+a's final degree, which is at most deg[u] and at most deg[a] plus a's
+remaining edges.  Because inclusion is tried first and the incumbent is replaced
 only on strict improvement, the reported witness is the lexicographically
 smallest optimal edge set among the hosts the symmetry-reduced search
 visits.  Every witness is re-verified against the full pattern finders
@@ -62,9 +62,10 @@ ordered K{2,2}+, for one, needs 6 left vertices, more than any
 
 ``eval_bound`` evaluates the closed-form upper bounds that accompany the
 solvers with high-precision arithmetic (mpmath) and records which formula
-branch applied.  mpmath is imported inside the bound evaluators, the only
-code that needs it, so a solve, a scan or a CLI start does not load it.  Comparisons against exact integers should use the
-high-precision value, never a rounded float.
+branch applied.  Comparisons against exact integers should use the
+high-precision value, never a rounded float.  mpmath is imported inside
+the bound evaluators, its only users, so a solve, a scan or a CLI start
+does not load it.
 """
 
 from __future__ import annotations
@@ -147,8 +148,9 @@ def _branch_and_bound(
     """Largest subset of the edge universe that ``take`` accepts.
 
     Edges are decided in universe order, inclusion first; ``take(edge)``
-    adds an edge to the host unless it completes a pattern copy, and says
-    which, and ``remove`` takes an included edge out again on backtracking.
+    adds an edge to the host unless it completes a pattern copy and
+    returns whether it did, and ``remove`` takes an included edge out again
+    on backtracking.
     ``raises[i]`` lists the degree-tracked vertices (labels below
     ``nv_deg``) whose degree edge i raises; every edge raises exactly
     ``divisor`` of them, so tracked degrees sum to ``divisor * |E|``.  A
@@ -159,12 +161,12 @@ def _branch_and_bound(
 
     With ``symmetry`` set, every node is also capped by degrees.  At node i
     let u be the largest vertex already final and a = u + 1.  On a
-    surviving leaf a and every later vertex end with degree at most
-    deg[a]'s, which is at most deg[u] (u is final) and at most deg[a] plus
-    the edges from index i on that raise a; call the smaller c.  So a leaf
-    below node i has at most ``(S + (nv_deg - u - 1) * c) // divisor``
-    edges, where S is the sum of deg[0..u], and the branch is cut when
-    that cannot beat the incumbent.  It drops only subtrees with no leaf
+    surviving leaf no vertex after a ends above a's final degree, which is
+    at most deg[u] (u is final) and at most deg[a] plus the edges from
+    index i on that raise a; call the smaller c.  So a leaf below node i
+    has at most ``(S + (nv_deg - u - 1) * c) // divisor`` edges, where S is
+    the sum of deg[0..u], and the branch is cut when that cannot beat the
+    incumbent.  It drops only subtrees with no leaf
     above the incumbent, so the witness is unchanged.  The cap needs
     degrees to become final in label order, so that every vertex below u
     is final once u is; the lex edge universes of all three entry points
@@ -201,10 +203,10 @@ def _branch_and_bound(
         for x in vs:
             final_at[x] = i + 1
     # what the loop head checks at node i, looked up by index: the vertices
-    # made final there and, past the first of them, (u, nv_deg - u - 1, the
-    # raises of u + 1 from i on) for the largest final u (symmetry), whether
-    # a row ends there (column order), and the degrees the remaining edges
-    # can still add (floor)
+    # made final there, and (u, nv_deg - u - 1, the raises of u + 1 from i
+    # on) for the largest vertex u final by then (symmetry), whether a row
+    # ends there (column order), and the degrees the remaining edges can
+    # still add (floor)
     sym_at: list[tuple[int, ...]] = [()] * (L + 1)
     cap_at: list[tuple[int, int, int] | None] = [None] * (L + 1)
     if symmetry:
