@@ -390,7 +390,8 @@ class TestPatternFiles:
         assert code == 2
 
     def test_pattern_file_with_huge_part_hits_the_cap(self, tmp_path):
-        # 50 bytes that used to cost 178 MB before exiting 2
+        # 50 bytes naming a part of five million vertices: refused before
+        # any adjacency is allocated
         path = tmp_path / "core.json"
         path.write_text('{"kind":"bipartite","m":5000000,"n":1,"edges":[]}')
         code, _, status = run_cli("solve", "ex", "--n", "4", "--pattern", f"@{path}")
@@ -400,13 +401,15 @@ class TestPatternFiles:
 
 class TestPatternCap:
     def test_large_star_hits_the_cap(self):
-        # K{200,1} used to take seconds to parse
+        # refused before the core's automorphism scan, which takes seconds
+        # at this size
         code, _, status = run_cli("solve", "ex", "--n", "4", "--pattern", "K{200,1}")
         assert code == 3
         assert status["exit"] == 3 and "capped at 64" in status["error"]
 
     def test_huge_star_hits_the_cap(self):
-        # K{2000,1} used to end in an internal error (RecursionError)
+        # deeper than the recursion limit of the automorphism scan: a cap,
+        # not an internal error
         code, _, status = run_cli("solve", "ex", "--n", "4", "--pattern", "K{2000,1}")
         assert code == 3
         assert status["exit"] == 3 and status["status"] == "error"
