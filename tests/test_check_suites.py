@@ -7,6 +7,9 @@ after an intended change to a suite (say so in CHANGES.md), run from the
 repository root:
 
     PYTHONPATH=src python tests/test_check_suites.py
+
+It prints each new case, each changed field as ``field old -> new`` and
+each dropped case before it writes the fixture.
 """
 
 import json
@@ -120,7 +123,23 @@ def test_find_common_kst_matches_enumeration_on_norm_graphs():
 
 
 if __name__ == "__main__":
+    def _name(rec):
+        return " ".join([*(f"{k}={v}" for k, v in rec["params"].items()), f"seed={rec['seed']}"])
+
+    old = {_name(r): r for r in _fixture()} if FIXTURE.exists() else {}
     records = [_record(params, seed) for params, seed in GOLDEN_CASES]
+    for rec in records:
+        name = _name(rec)
+        if name not in old:
+            print(f"{name}: new case")
+            continue
+        was = {"exit": old[name]["exit"], **old[name]["details"]}
+        now = {"exit": rec["exit"], **rec["details"]}
+        for field in dict.fromkeys([*was, *now]):
+            if was.get(field) != now.get(field):
+                print(f"{name}: {field} {was.get(field)} -> {now.get(field)}")
+    for name in old.keys() - {_name(r) for r in records}:
+        print(f"{name}: case dropped")
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {len(records)} cases to {FIXTURE}")
