@@ -28,6 +28,11 @@ FIXTURE = Path(__file__).resolve().parent / "data" / "golden_checks.json"
 GOLDEN_CASES = (
     ({"suite": "pg-properties", "q": 3, "s": 2}, 0),
     ({"suite": "pg-properties", "q": 3, "s": 3}, 0),
+    ({"suite": "pg-properties", "q": 4, "s": 3}, 0),
+    ({"suite": "pg-properties", "q": 5, "s": 3}, 0),
+    ({"suite": "pg-properties", "q": 8, "s": 3}, 0),
+    ({"suite": "pg-properties", "q": 9, "s": 3}, 0),
+    ({"suite": "pg-properties", "q": 5, "s": 2}, 0),
     ({"suite": "norm-map", "q": 3, "s": 3}, 0),
     ({"suite": "composed", "p": 2, "s1": 3, "s2": 3}, 0),
     ({"suite": "ratio-count", "q": 3, "s": 3}, 0),
