@@ -195,6 +195,30 @@ def test_library_shapes():
     )
 
 
+@pytest.mark.parametrize("s", range(1, 7))
+@pytest.mark.parametrize("t", range(1, 7))
+def test_complete_core_arcs_follow_the_closed_form(s, t):
+    # every directed edge of one direction lies in one orbit, and the two
+    # directions share an orbit exactly when the parts may swap
+    for expansion, placement in ((False, "unordered"), (False, "ordered"), (True, "unordered"),
+                                 (True, "ordered"), (True, "core-in-V1")):
+        spec = complete_bipartite(s, t, expansion, placement)
+        swaps = s == t and placement != "ordered"
+        assert spec.arcs == (((0, 0, s),) if swaps else ((0, 0, s), (0, s, 0)))
+
+
+def test_incomplete_core_arcs_are_pinned():
+    arcs = {
+        "C6": ((0, 0, 3),),
+        "C6 ordered": ((0, 0, 3), (0, 3, 0)),
+        "C6+ core-in-V1": ((0, 0, 3),),
+        "theta{1,3,3}": ((0, 0, 3), (1, 0, 4), (1, 4, 0), (4, 1, 4)),
+        "grid2x2": ((0, 0, 5), (0, 5, 0), (4, 2, 5), (4, 5, 2)),
+        "grid2x2 ordered": ((0, 0, 5), (0, 5, 0), (4, 2, 5), (4, 5, 2)),
+    }
+    assert {text: parse_pattern(text).arcs for text in arcs} == arcs
+
+
 def test_library_rejects():
     with pytest.raises(ValueError):
         even_cycle(5)
