@@ -138,7 +138,14 @@ def _core_arcs(core: BipartiteGraph, swaps: bool) -> tuple[tuple[int, int, int],
     """`PatternSpec.arcs`: arc (ei, x, y) stands for each directed core edge
     that an automorphism (an embedding of the core into itself keeping both
     parts whole, or if `swaps` exchanging them) maps x -> y onto.  Arcs come
-    in edge order, forward first: a complete core's lie on its edge 0."""
+    in edge order, forward first: a complete core's lie on its edge 0.
+
+    A complete core's arcs are written down without the search: its
+    automorphisms permute each part freely, so every forward arc lies in
+    the orbit of (0, m), every backward arc in that of (m, 0), and the
+    two orbits are one exactly when the parts may swap."""
+    if core.edge_count and core.edge_count == core.m * core.n:
+        return ((0, 0, core.m),) if swaps else ((0, 0, core.m), (0, core.m, 0))
     host = GraphHost.of(core)
     keep = [host.left_mask] * core.m + [host.right_mask] * core.n
     sides = [keep, keep[::-1]] if swaps else [keep]  # swaps come with equal parts
