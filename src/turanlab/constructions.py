@@ -22,8 +22,13 @@ a norm graph on (qt, s2) inside the left part and a bipartite norm graph on
 layer edge {u, v} plus a common cross-neighbor w.  Whichever layer is
 smaller is padded with isolated vertices.
 
-Hard caps: p^k <= 2^20 per field (enforced by turanlab.ff) and q^s <= 2^22
-per construction; beyond them CapExceededError is raised.
+Hard caps: p^k <= 2^20 per field (enforced by turanlab.ff), q^s <= 2^22
+per construction, and at most 2^21 edges or triples per built object;
+beyond them CapExceededError is raised.  The edge count is known before
+any edge is built: each vertex has q^(s-1) - 1 partners, one per Y != -X,
+so a norm graph holds at most n * (q^(s-1) - 1) / 2 edges and its
+bipartite variant at most twice that.  The composed 3-graph counts its
+triples over the two capped layers before it builds them.
 """
 
 from __future__ import annotations
@@ -37,6 +42,9 @@ from .hypergraph import BipartiteGraph, Graph, SemibipartiteThreeGraph, iter_bit
 from .patterns import PatternSpec, iter_graph_embeddings
 
 MAX_CONSTRUCTION_ORDER = 1 << 22
+# edges of a norm-graph layer, or triples of the composed 3-graph (about
+# 200 bytes each once built)
+MAX_CONSTRUCTION_EDGES = 1 << 21
 MAX_DELETION_VERTICES = 1 << 10
 
 
@@ -47,6 +55,21 @@ def _validate_construction(q: int, s: int) -> tuple[int, int]:
     if q**s > MAX_CONSTRUCTION_ORDER:
         raise CapExceededError(f"q^s = {q**s} exceeds {MAX_CONSTRUCTION_ORDER}")
     return p, k
+
+
+def _capped_size(what: str, count: int, unit: str = "edges") -> None:
+    if count > MAX_CONSTRUCTION_EDGES:
+        raise CapExceededError(f"{what} would hold {count} {unit}; capped at {MAX_CONSTRUCTION_EDGES}")
+
+
+def _norm_order(q: int, s: int, sides: int) -> int:
+    """Vertex count of the norm graph on (q, s), refused before any edge is
+    built when its `sides` copies (1 plain, 2 bipartite) exceed the edge cap."""
+    _validate_construction(q, s)
+    n = q ** (s - 1) * (q - 1)
+    name = "norm graph" if sides == 1 else "bipartite norm graph"
+    _capped_size(f"{name} ({q}, {s})", n * (q ** (s - 1) - 1) * sides // 2)
+    return n
 
 
 def vertex_id(q: int, big_idx: int, small_idx: int) -> int:
@@ -84,8 +107,7 @@ def _norm_partners(q: int, s: int):
 
 def norm_graph(q: int, s: int) -> Graph:
     """The norm graph on q^(s-1) * (q-1) vertices (loops dropped)."""
-    _validate_construction(q, s)
-    n = q ** (s - 1) * (q - 1)
+    n = _norm_order(q, s, 1)
     edges = [(u, v) for u, v in _norm_partners(q, s) if u < v]
     return Graph(n, edges)
 
@@ -93,8 +115,7 @@ def norm_graph(q: int, s: int) -> Graph:
 def bipartite_norm_graph(q: int, s: int) -> BipartiteGraph:
     """Two copies of the norm-graph vertex set joined by the same equation,
     restricted to distinct labels (the diagonal is never an edge)."""
-    _validate_construction(q, s)
-    n = q ** (s - 1) * (q - 1)
+    n = _norm_order(q, s, 2)
     return BipartiteGraph(n, n, [(u, v) for u, v in _norm_partners(q, s) if u != v])
 
 
@@ -178,9 +199,15 @@ def composed_construction(p: int, s1: int, s2: int) -> ComposedConstruction:
     if cross.m < n:
         cross = BipartiteGraph(n, n, cross.edges)
 
+    cross_adj = cross.left_adj
+    _capped_size(
+        f"composed 3-graph ({p}, {s1}, {s2})",
+        sum((cross_adj[u] & cross_adj[v]).bit_count() for u, v in layer.edges),
+        "triples",
+    )
     triples = []
     for u, v in layer.edges:
-        for w in iter_bits(cross.left_adj[u] & cross.left_adj[v]):
+        for w in iter_bits(cross_adj[u] & cross_adj[v]):
             triples.append((u, v, w))
     hg = SemibipartiteThreeGraph(n, n, triples)
     return ComposedConstruction(p, s1, s2, n, q, qt, layer, cross, hg)

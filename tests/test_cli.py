@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -413,6 +414,23 @@ class TestPatternCap:
         code, _, status = run_cli("solve", "ex", "--n", "4", "--pattern", "K{2000,1}")
         assert code == 3
         assert status["exit"] == 3 and status["status"] == "error"
+
+
+class TestConstructionCap:
+    # norm_graph(16, 4) would hold about 125.8M edges (tens of GB); each of
+    # these is refused before any edge is built
+    @pytest.mark.parametrize("args", [
+        ("construct", "normgraph", "--q", "16", "--s", "4"),
+        ("check", "pg-properties", "--q", "16", "--s", "4"),
+        ("check", "composed", "--p", "2", "--s1", "4", "--s2", "4"),
+    ], ids=lambda args: " ".join(args[:2]))
+    def test_oversized_norm_graph_hits_the_cap(self, args):
+        t0 = time.monotonic()
+        code, out, status = run_cli(*args)
+        assert time.monotonic() - t0 < 1.0
+        assert code == 3 and out == ""
+        assert status["exit"] == 3 and status["status"] == "error"
+        assert "125798400 edges" in status["error"]
 
 
 @pytest.mark.parametrize(

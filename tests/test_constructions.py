@@ -2,6 +2,7 @@
 
 import pytest
 
+from turanlab import constructions
 from turanlab.constructions import (
     ComposedConstruction,
     bipartite_norm_graph,
@@ -163,10 +164,23 @@ def test_construction_caps_and_validation():
         norm_graph(2, 23)
     with pytest.raises(CapExceededError):
         composed_construction(2, 5, 5)
+    # q^s within its cap, but the edges are not: refused before any is built
+    with pytest.raises(CapExceededError, match="norm graph \\(9, 4\\) would hold 2122848 edges"):
+        norm_graph(9, 4)
+    with pytest.raises(CapExceededError, match="bipartite norm graph \\(4, 6\\)"):
+        bipartite_norm_graph(4, 6)
     with pytest.raises(ValueError):
         composed_construction(2, 2, 3)
     with pytest.raises(ValueError):
         composed_construction(4, 3, 3)
+
+
+def test_composed_triples_are_counted_before_they_are_built(monkeypatch):
+    monkeypatch.setattr(constructions, "MAX_CONSTRUCTION_EDGES", 124_991)
+    with pytest.raises(CapExceededError, match="would hold 124992 triples"):
+        composed_construction(2, 3, 3)
+    monkeypatch.setattr(constructions, "MAX_CONSTRUCTION_EDGES", 124_992)
+    assert composed_construction(2, 3, 3).hypergraph.edge_count == 124_992
 
 
 def test_composed_sizes():
