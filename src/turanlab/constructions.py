@@ -22,6 +22,14 @@ a norm graph on (qt, s2) inside the left part and a bipartite norm graph on
 layer edge {u, v} plus a common cross-neighbor w.  Whichever layer is
 smaller is padded with isolated vertices.
 
+The norm graph has many automorphisms, and `norm_graph_symmetries` lists
+generators of some of them as vertex permutations: the scaling
+(X, x) -> (lam X, mu x) with mu^2 = N(lam), since N is multiplicative; in
+characteristic 2 the translation (X, x) -> (X + 1, x), since the sum X + Y
+does not change; and the Frobenius (X, x) -> (X^p, x^p), since N commutes
+with it.  The check suites search the layers for K{s,t} from one vertex
+per orbit of these maps, after checking each map on the graph itself.
+
 Hard caps: p^k <= 2^20 per field (enforced by turanlab.ff), q^s <= 2^22
 per construction, and at most 2^21 edges or triples per built object;
 beyond them CapExceededError is raised.  The edge count is known before
@@ -117,6 +125,54 @@ def bipartite_norm_graph(q: int, s: int) -> BipartiteGraph:
     restricted to distinct labels (the diagonal is never an edge)."""
     n = _norm_order(q, s, 2)
     return BipartiteGraph(n, n, [(u, v) for u, v in _norm_partners(q, s) if u != v])
+
+
+def norm_graph_symmetries(q: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of a group of automorphisms of `norm_graph(q, s)`, each a
+    permutation of the vertex numbering; each acts on both sides of
+    `bipartite_norm_graph(q, s)` alike.  Identity maps are left out.
+
+    - Scaling (X, x) -> (lam X, mu x) with mu^2 = N(lam):
+      N(lam X + lam Y) = N(lam) N(X + Y) = (mu x)(mu y).  lam is the
+      primitive element g when N(g) is a square in F_q (always for even q),
+      else lam = g^2 with mu = N(g).
+    - In characteristic 2, translation (X, x) -> (X + 1, x):
+      (X + 1) + (Y + 1) = X + Y.
+    - Frobenius (X, x) -> (X^p, x^p): N(X^p + Y^p) = N(X + Y)^p = x^p y^p.
+
+    Each map is a bijection, so the bipartite variant's excluded diagonal
+    (X, x) = (Y, y) stays excluded.  For even q the maps act transitively
+    on the vertices; for odd q they leave several orbits.  The callers do
+    not rely on any of this: `patterns.first_kst` checks every map against
+    the graph it is given before it uses the orbits.
+    """
+    p, k = _validate_construction(q, s)
+    big = field_tables(p, k * (s - 1))
+    sub = field_tables(p, k)
+    norms = norm_indices(q, s)
+    g = big.exp[1]
+    mu = next((m for m in range(1, q) if sub.mul(m, m) == norms[g]), None)
+    lam = g
+    if mu is None:
+        lam, mu = big.mul(g, g), norms[g]
+
+    def frobenius(t):
+        return [0] + [t.exp[p * t.log[x] % (t.order - 1)] for x in range(1, t.order)]
+
+    # each map as (image of every X, image of every x), by field index
+    maps = [([big.mul(lam, X) for X in range(big.order)], [sub.mul(mu, x) for x in range(q)])]
+    if p == 2:
+        maps.append(([X ^ 1 for X in range(big.order)], list(range(q))))
+    maps.append((frobenius(big), frobenius(sub)))
+    identity = tuple(range(q ** (s - 1) * (q - 1)))
+    gens = []
+    for big_map, sub_map in maps:
+        sigma = tuple(
+            vertex_id(q, big_map[X], sub_map[x]) for X in range(big.order) for x in range(1, q)
+        )
+        if sigma != identity:
+            gens.append(sigma)
+    return tuple(gens)
 
 
 def norm_ratio_count(q: int, s: int, x_idx: int, y_idx: int, lam_idx: int) -> int:

@@ -381,28 +381,89 @@ def iter_kst(adj, s: int, t: int, left_mask: int, right_mask: int) -> Iterator[t
     return _kst_copies(adj, s, t, left_mask, right_mask, False)
 
 
-def first_kst(adj, s: int, t: int, left_mask: int, right_mask: int) -> tuple[tuple, tuple] | None:
+def first_kst(adj, s: int, t: int, left_mask: int, right_mask: int, symmetries=()) -> tuple[tuple, tuple] | None:
     """The first copy `iter_kst` yields, or None, searching fewer columns
-    when the host's copies come in swapped pairs.
+    when the host's copies come in swapped pairs, and deciding a copy-free
+    host from one row per orbit of the given symmetries.
 
-    That holds when s == t and every column x of every row v keeping t
-    columns is a row (in left_mask, and not v) with v among its columns:
-    a graph with both masks full, or bipartite rows with ``left_adj ==
-    right_adj`` and an empty diagonal.  Then for a copy (A, B), each
-    s-subset S of A's common columns gives a copy (S, A).  Let (A, B) be
-    the first copy and v = min A.  A common column of A below v would lie
-    in such an S, whose s-side comes first, so A's whole common
+    The column cut holds when s == t and every column x of every row v
+    keeping t columns is a row (in left_mask, and not v) with v among its
+    columns: a graph with both masks full, or bipartite rows with
+    ``left_adj == right_adj`` and an empty diagonal.  Then for a copy
+    (A, B), each s-subset S of A's common columns gives a copy (S, A).  Let
+    (A, B) be the first copy and v = min A.  A common column of A below v
+    would lie in such an S, whose s-side comes first, so A's whole common
     neighborhood lies above v.  The search may therefore keep only the
     columns above the first s-side vertex: every copy it then meets is one
     of `iter_kst`'s, none comes before (A, B), and (A, B) keeps its t-side.
     The condition is read off the reverse adjacency, once per call.
+
+    `symmetries` are permutations of ``range(len(adj))``, each acting on
+    rows and columns alike; each is checked to be an automorphism of the
+    host (see `_orbit_leads`), and a failed check raises
+    InvariantViolationError.  An automorphism maps copies to copies, so if
+    some copy (A, B) exists and a in A lies in the orbit of the row r, the
+    map taking a to r gives a copy with r on its s-side.  The search
+    therefore first asks, for the least row r of each orbit, whether any
+    copy has r on its s-side; if none does, the host is copy-free.
+    Otherwise the full search above returns the first copy, so the answer
+    never depends on the symmetries given.
     """
+    if symmetries:
+        leads = _orbit_leads(adj, left_mask, right_mask, symmetries)
+        if next(_kst_copies(adj, s, t, left_mask, right_mask, False, leads), None) is None:
+            return None
     return next(_kst_copies(adj, s, t, left_mask, right_mask, s == t), None)
 
 
-def _kst_copies(adj, s: int, t: int, left_mask: int, right_mask: int, cut: bool):
+def _orbit_leads(adj, left_mask: int, right_mask: int, symmetries) -> list[int]:
+    """The least row of each orbit that `symmetries` generate on left_mask,
+    after checking that each map is an automorphism of the host.
+
+    Each map must be a permutation sigma of ``range(len(adj))`` that maps
+    left_mask and the columns of right_mask onto themselves, with
+    sigma(adj[v] & right_mask) == adj[sigma(v)] & right_mask for every row
+    v; anything else raises InvariantViolationError.  The check costs
+    O(edges) per map: each row's columns are listed once and compared, as
+    sorted images, against the row they must land on.
+    """
+    n = len(adj)
+    rows = list(iter_bits(left_mask))
+    cols = list(iter_bits(right_mask & ((1 << n) - 1)))
+    if rows and rows[-1] >= n:
+        raise InvariantViolationError(f"row {rows[-1]} lies outside the maps' range {n}")
+    out = {v: list(iter_bits(adj[v] & right_mask)) for v in rows}
+    for v, row in out.items():
+        if row and row[-1] >= n:
+            raise InvariantViolationError(f"row {v} has column {row[-1]} outside the maps' range {n}")
+    parent = list(range(n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for sigma in symmetries:
+        sigma = list(sigma)
+        if sorted(sigma) != list(range(n)):
+            raise InvariantViolationError(f"symmetry is not a permutation of range({n})")
+        if sorted(sigma[v] for v in rows) != rows or sorted(sigma[x] for x in cols) != cols:
+            raise InvariantViolationError("symmetry does not map the row and column masks onto themselves")
+        for v, row in out.items():
+            if sorted(sigma[x] for x in row) != out[sigma[v]]:
+                raise InvariantViolationError(f"symmetry maps row {v} onto no row: not an automorphism")
+        for v in rows:
+            a, b = root(v), root(sigma[v])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [v for v in rows if root(v) == v]
+
+
+def _kst_copies(adj, s: int, t: int, left_mask: int, right_mask: int, cut: bool, leads=None):
     """`iter_kst`'s search; with cut, columns at or below the first s-side
-    vertex are dropped when the rows pass `first_kst`'s condition."""
+    vertex are dropped when the rows pass `first_kst`'s condition.  Given
+    `leads`, it yields instead, for each lead row in turn, the copies with
+    that row first on their s-side and the others ascending after it."""
     rows = [(v, adj[v] & right_mask) for v in iter_bits(left_mask)]
     rows = [(v, row) for v, row in rows if row.bit_count() >= t]
     # The counters are lanes of one integer, w bits each: lane k holds the
@@ -452,7 +513,24 @@ def _kst_copies(adj, s: int, t: int, left_mask: int, right_mask: int, cut: bool)
             if ncand:
                 yield from rec(chosen + (v,), ninter, ncand)
 
-    yield from rec((), right_mask, first)
+    if leads is None:
+        yield from rec((), right_mask, first)
+        return
+    for v in leads:
+        if not first >> v & 1:
+            continue
+        inter = right_mask & adj[v]
+        if s == 1:
+            for b in combinations(iter_bits(inter), t):
+                yield (v,), b
+            continue
+        counts = every
+        rest = inter
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            counts |= (counts << w) & radj[low.bit_length() - 1]
+        yield from rec((v,), inter, first & ~(1 << v) & counts >> top)
 
 
 def kst_through(adj, s: int, t: int, left_mask: int, right_mask: int, anchor, accept=None) -> bool:

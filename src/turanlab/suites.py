@@ -15,7 +15,13 @@ from itertools import combinations
 from math import factorial
 from typing import Callable
 
-from .constructions import composed_construction, norm_graph, norm_ratio_count, vertex_coords
+from .constructions import (
+    composed_construction,
+    norm_graph,
+    norm_graph_symmetries,
+    norm_ratio_count,
+    vertex_coords,
+)
 from .errors import InvariantViolationError
 from .ff import (
     field_tables,
@@ -37,12 +43,18 @@ from .patterns import (
 
 
 def suite_pg_properties(q: int, s: int) -> tuple[int, dict]:
+    """Size, degree set and K{s,(s-1)!+1}-freeness of `norm_graph(q, s)`.
+
+    The freeness search runs from one vertex per orbit of
+    `norm_graph_symmetries(q, s)`, which `first_kst` checks against the
+    graph first; the witness is the one the full search would report.
+    """
     g = norm_graph(q, s)
     expected_n = q**s - q ** (s - 1)
     allowed = {q ** (s - 1) - 1, q ** (s - 1) - 2}
     bad_degrees = sum(1 for v in range(g.n) if g.degree(v) not in allowed)
     t = factorial(s - 1) + 1
-    witness = first_kst(g.adj, s, t, (1 << g.n) - 1, -1)
+    witness = first_kst(g.adj, s, t, (1 << g.n) - 1, -1, norm_graph_symmetries(q, s))
     violations = int(g.n != expected_n) + int(bad_degrees > 0) + int(witness is not None)
     return violations, {
         "n": g.n,
@@ -85,6 +97,14 @@ def suite_norm_map(q: int, s: int) -> tuple[int, dict]:
 
 
 def suite_composed(p: int, s1: int, s2: int) -> tuple[int, dict]:
+    """Shape, density band and freeness of both layers of the composed
+    3-graph: the layer of K{s2,(s2-1)!+1}, the cross layer's rows of
+    K{s1,(s1-1)!+1}.
+
+    Each freeness search runs from one vertex per orbit of its layer's
+    norm-graph symmetries, extended as the identity on padding vertices
+    and checked by `first_kst` against the layer first.
+    """
     c = composed_construction(p, s1, s2)
     h = c.hypergraph
     bad_edges = sum(
@@ -93,9 +113,13 @@ def suite_composed(p: int, s1: int, s2: int) -> tuple[int, dict]:
     t1 = factorial(s1 - 1) + 1
     t2 = factorial(s2 - 1) + 1
     layer = c.v1_layer
-    layer_witness = first_kst(layer.adj, s2, t2, (1 << layer.n) - 1, -1)
+    layer_witness = first_kst(
+        layer.adj, s2, t2, (1 << layer.n) - 1, -1, _padded_symmetries(c.q_tilde, s2, c.n)
+    )
     cross = c.cross_layer
-    cross_witness = first_kst(cross.left_adj, s1, t1, (1 << cross.m) - 1, -1)
+    cross_witness = first_kst(
+        cross.left_adj, s1, t1, (1 << cross.m) - 1, -1, _padded_symmetries(c.q, s1, c.n)
+    )
     density = h.edge_count / (c.n * c.n)
     band_ok = 0.1 <= density <= 1.0
     violations = (
@@ -114,6 +138,11 @@ def suite_composed(p: int, s1: int, s2: int) -> tuple[int, dict]:
         "cross_free_of": f"K{{{s1},{t1}}} ordered",
         "cross_witness": None if cross_witness is None else list(cross_witness[0]),
     }
+
+
+def _padded_symmetries(q: int, s: int, n: int) -> list[tuple[int, ...]]:
+    """`norm_graph_symmetries(q, s)` extended to n vertices by fixing the rest."""
+    return [sigma + tuple(range(len(sigma), n)) for sigma in norm_graph_symmetries(q, s)]
 
 
 def suite_ratio_count(q: int, s: int) -> tuple[int, dict]:
