@@ -22,7 +22,9 @@ the rows adjacent to t of its members, counted from a reverse adjacency
 (column -> rows) built once per call.  `first_kst` (the finders' and the
 check suites' K_{s,t} search) returns its first copy, and on a host whose
 copies come in swapped pairs searches only the columns above the first
-s-side vertex.  All other cores go through a most-constrained-first
+s-side vertex.  Given automorphisms of the host, which it checks edge by
+edge first, it decides a copy-free host from one row per orbit and runs
+the full search only when some copy exists.  All other cores go through a most-constrained-first
 backtracking embedder, whose placement plan (order, already-placed
 neighbors and core degree of each free vertex) depends only on the core
 and its anchored vertices, so it is compiled once and cached.  The finders
