@@ -26,8 +26,8 @@ The norm graph has many automorphisms, and `norm_graph_symmetries` lists
 generators of some of them as vertex permutations: the scaling
 (X, x) -> (lam X, mu x) with mu^2 = N(lam), since N is multiplicative; in
 characteristic 2 the translation (X, x) -> (X + 1, x), since the sum X + Y
-does not change; and the Frobenius (X, x) -> (X^p, x^p), since N commutes
-with it.  The check suites search the layers for K{s,t} from one vertex
+does not change; and in odd characteristic the Frobenius
+(X, x) -> (X^p, x^p), since N commutes with it.  The check suites search the layers for K{s,t} from one vertex
 per orbit of these maps, after checking each map on the graph itself.
 
 Hard caps: p^k <= 2^20 per field (enforced by turanlab.ff), q^s <= 2^22
@@ -138,13 +138,16 @@ def norm_graph_symmetries(q: int, s: int) -> tuple[tuple[int, ...], ...]:
       else lam = g^2 with mu = N(g).
     - In characteristic 2, translation (X, x) -> (X + 1, x):
       (X + 1) + (Y + 1) = X + Y.
-    - Frobenius (X, x) -> (X^p, x^p): N(X^p + Y^p) = N(X + Y)^p = x^p y^p.
+    - For odd q, Frobenius (X, x) -> (X^p, x^p):
+      N(X^p + Y^p) = N(X + Y)^p = x^p y^p.
 
     Each map is a bijection, so the bipartite variant's excluded diagonal
-    (X, x) = (Y, y) stays excluded.  For even q the maps act transitively
-    on the vertices; for odd q they leave several orbits.  The callers do
-    not rely on any of this: `patterns.first_kst` checks every map against
-    the graph it is given before it uses the orbits.
+    (X, x) = (Y, y) stays excluded.  For even q, scaling and translation
+    already act transitively on the vertices (they reach every
+    (lam X + b, mu x)), so the Frobenius would merge no orbits and is left
+    out; for odd q the maps leave several orbits.  The callers do not rely
+    on any of this: `patterns.first_kst` checks every map against the
+    graph it is given before it uses the orbits.
     """
     p, k = _validate_construction(q, s)
     big = field_tables(p, k * (s - 1))
@@ -163,7 +166,8 @@ def norm_graph_symmetries(q: int, s: int) -> tuple[tuple[int, ...], ...]:
     maps = [([big.mul(lam, X) for X in range(big.order)], [sub.mul(mu, x) for x in range(q)])]
     if p == 2:
         maps.append(([X ^ 1 for X in range(big.order)], list(range(q))))
-    maps.append((frobenius(big), frobenius(sub)))
+    else:
+        maps.append((frobenius(big), frobenius(sub)))
     identity = tuple(range(q ** (s - 1) * (q - 1)))
     gens = []
     for big_map, sub_map in maps:

@@ -24,10 +24,11 @@ check suites' K_{s,t} search) returns its first copy, and on a host whose
 copies come in swapped pairs searches only the columns above the first
 s-side vertex.  Given automorphisms of the host, which it checks edge by
 edge first, it decides a copy-free host from one row per orbit and runs
-the full search only when some copy exists.  All other cores go through a most-constrained-first
-backtracking embedder, whose placement plan (order, already-placed
-neighbors and core degree of each free vertex) depends only on the core
-and its anchored vertices, so it is compiled once and cached.  The finders
+the full search only when some copy exists.  All other cores go through
+a most-constrained-first backtracking embedder, whose placement plan
+(order, already-placed neighbors and core degree of each free vertex)
+depends only on the core and its anchored vertices, so it is compiled
+once and cached.  The finders
 search one orientation of a core whose parts some automorphism exchanges,
 such as K_{s,s} or C6.  Expansion copies are decided
 per core embedding by maximum bipartite matching between core edges and
@@ -434,8 +435,8 @@ def _orbit_leads(adj, left_mask: int, right_mask: int, symmetries) -> list[int]:
     cols = list(iter_bits(right_mask & ((1 << n) - 1)))
     if rows and rows[-1] >= n:
         raise InvariantViolationError(f"row {rows[-1]} lies outside the maps' range {n}")
-    out = {v: list(iter_bits(adj[v] & right_mask)) for v in rows}
-    for v, row in out.items():
+    row_cols = {v: list(iter_bits(adj[v] & right_mask)) for v in rows}
+    for v, row in row_cols.items():
         if row and row[-1] >= n:
             raise InvariantViolationError(f"row {v} has column {row[-1]} outside the maps' range {n}")
     parent = list(range(n))
@@ -446,13 +447,12 @@ def _orbit_leads(adj, left_mask: int, right_mask: int, symmetries) -> list[int]:
         return v
 
     for sigma in symmetries:
-        sigma = list(sigma)
         if sorted(sigma) != list(range(n)):
             raise InvariantViolationError(f"symmetry is not a permutation of range({n})")
         if sorted(sigma[v] for v in rows) != rows or sorted(sigma[x] for x in cols) != cols:
             raise InvariantViolationError("symmetry does not map the row and column masks onto themselves")
-        for v, row in out.items():
-            if sorted(sigma[x] for x in row) != out[sigma[v]]:
+        for v, row in row_cols.items():
+            if sorted(sigma[x] for x in row) != row_cols[sigma[v]]:
                 raise InvariantViolationError(f"symmetry maps row {v} onto no row: not an automorphism")
         for v in rows:
             a, b = root(v), root(sigma[v])
