@@ -384,7 +384,9 @@ def iter_kst(adj, s: int, t: int, left_mask: int, right_mask: int) -> Iterator[t
     return _kst_copies(adj, s, t, left_mask, right_mask, False)
 
 
-def first_kst(adj, s: int, t: int, left_mask: int, right_mask: int, symmetries=()) -> tuple[tuple, tuple] | None:
+def first_kst(
+    adj, s: int, t: int, left_mask: int, right_mask: int, symmetries=()
+) -> tuple[tuple, tuple] | None:
     """The first copy `iter_kst` yields, or None, searching fewer columns
     when the host's copies come in swapped pairs, and deciding a copy-free
     host from one row per orbit of the given symmetries.
