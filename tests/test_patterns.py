@@ -5,7 +5,10 @@ import random
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from turanlab.constructions import norm_graph
 from turanlab.errors import CapExceededError, InvariantViolationError
 from turanlab.hypergraph import BipartiteGraph, Graph, SemibipartiteThreeGraph, ThreeGraph
 from turanlab.patterns import (
@@ -24,6 +27,7 @@ from turanlab.patterns import (
     grid_2x2,
     heavy_shadow_graph,
     iter_graph_embeddings,
+    iter_kst,
     MAX_PATTERN_VERTICES,
     parse_pattern,
     pattern_through_edge,
@@ -438,6 +442,67 @@ def test_bipartite_search_matches_oracle():
                 hits += 1
                 assert verify_bipartite_witness(g, spec, got)
     assert hits > 10
+
+
+# -- the finders' witness for a complete core --
+
+
+def _first_kst_copy(adj, s, t, left_mask, right_mask):
+    copy = next(iter_kst(adj, s, t, left_mask, right_mask), None)
+    return None if copy is None else copy[0] + copy[1]
+
+
+@st.composite
+def _swap_closed_graphs(draw):
+    """A graph read as itself or as the bipartite graph with left_adj ==
+    right_adj and an empty diagonal: either way every K{s,t} copy (A, B)
+    comes with its swap (B, A)."""
+    n = draw(st.integers(1, 11))
+    density = draw(st.sampled_from((0.2, 0.5, 0.8, 1.0)))
+    rng = draw(st.randoms(use_true_random=False))
+    g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+    if draw(st.booleans()):
+        return g
+    return BipartiteGraph(n, n, [e for a, b in g.edges for e in ((a, b), (b, a))])
+
+
+def _finder_witness(g, spec):
+    if isinstance(g, Graph):
+        return find_in_graph(g, spec)
+    return find_ordered_bipartite(g, spec)
+
+
+def _assert_finders_return_the_first_kst_copy(g, s, t):
+    """The finders' witness for K{s,t}, in combined labels, is the first
+    copy `iter_kst` yields with the core's first part on the left mask."""
+    host = GraphHost.of(g)
+    want = _first_kst_copy(host.adj, s, t, host.left_mask, host.right_mask)
+    specs = [complete_bipartite(s, t)]
+    if isinstance(g, BipartiteGraph):
+        specs.append(complete_bipartite(s, t, placement="ordered"))
+    for spec in specs:
+        got = _finder_witness(g, spec)
+        assert (None if got is None else got.core_map) == want, spec.display_name()
+    return want
+
+
+@pytest.mark.parametrize("bipartite", [False, True])
+def test_finder_witness_on_a_norm_graph_is_the_first_kst_copy(bipartite):
+    g = norm_graph(3, 3)
+    if bipartite:
+        g = BipartiteGraph(g.n, g.n, [e for a, b in g.edges for e in ((a, b), (b, a))])
+    assert _assert_finders_return_the_first_kst_copy(g, 2, 2) is not None
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(_swap_closed_graphs(), st.integers(1, 3), st.integers(1, 3))
+def test_finder_witness_on_swap_closed_hosts_is_the_first_kst_copy(g, s, t):
+    _assert_finders_return_the_first_kst_copy(g, s, t)
 
 
 def test_expansion_search_matches_oracle():
