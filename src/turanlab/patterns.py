@@ -19,20 +19,17 @@ Search strategy: on a whole host, complete bipartite cores K_{s,t} go
 through `iter_kst`, an ascending s-subset enumeration with a running
 common-neighborhood intersection that draws each next s-side vertex from
 the rows adjacent to t of its members, counted from a reverse adjacency
-(column -> rows) built once per call.  `first_kst` (the finders' and the
-check suites' K_{s,t} search) returns its first copy, and on a host whose
-copies come in swapped pairs searches only the columns above the first
-s-side vertex.  Given automorphisms of the host, which it checks edge by
-edge first, it decides a copy-free host from one row per orbit and runs
-the full search only when some copy exists.  All other cores go through
-a most-constrained-first backtracking embedder, whose placement plan
-(order, already-placed neighbors and core degree of each free vertex)
-depends only on the core and its anchored vertices, so it is compiled
-once and cached.  The finders
-search one orientation of a core whose parts some automorphism exchanges,
-such as K_{s,s} or C6.  Expansion copies are decided
-per core embedding by maximum bipartite matching between core edges and
-eligible apexes.
+(column -> rows) built once per call.  `first_kst` (the check suites'
+K_{s,t} search) returns its first copy.  Given automorphisms of the host,
+which it checks edge by edge first, it decides a copy-free host from one
+row per orbit and runs the full search only when some copy exists.  All
+other cores go through a most-constrained-first backtracking embedder,
+whose placement plan (order, already-placed neighbors and core degree of
+each free vertex) depends only on the core and its anchored vertices, so
+it is compiled once and cached.  The finders search one orientation of a
+core whose parts some automorphism exchanges, such as K_{s,s} or C6.
+Expansion copies are decided per core embedding by maximum bipartite
+matching between core edges and eligible apexes.
 
 Host state lives here too: `GraphHost` holds adjacency bitmasks and part
 masks, and `ThreeGraphHost` adds pair links (pair -> bitmask of third
@@ -381,27 +378,14 @@ def iter_kst(adj, s: int, t: int, left_mask: int, right_mask: int) -> Iterator[t
     search frame of its own.  Copies through one given edge are
     `kst_through`'s job, and the first copy alone is `first_kst`'s.
     """
-    return _kst_copies(adj, s, t, left_mask, right_mask, False)
+    return _kst_copies(adj, s, t, left_mask, right_mask)
 
 
 def first_kst(
     adj, s: int, t: int, left_mask: int, right_mask: int, symmetries=()
 ) -> tuple[tuple, tuple] | None:
-    """The first copy `iter_kst` yields, or None, searching fewer columns
-    when the host's copies come in swapped pairs, and deciding a copy-free
-    host from one row per orbit of the given symmetries.
-
-    The column cut holds when s == t and every column x of every row v
-    keeping t columns is a row (in left_mask, and not v) with v among its
-    columns: a graph with both masks full, or bipartite rows with
-    ``left_adj == right_adj`` and an empty diagonal.  Then for a copy
-    (A, B), each s-subset S of A's common columns gives a copy (S, A).  Let
-    (A, B) be the first copy and v = min A.  A common column of A below v
-    would lie in such an S, whose s-side comes first, so A's whole common
-    neighborhood lies above v.  The search may therefore keep only the
-    columns above the first s-side vertex: every copy it then meets is one
-    of `iter_kst`'s, none comes before (A, B), and (A, B) keeps its t-side.
-    The condition is read off the reverse adjacency, once per call.
+    """The first copy `iter_kst` yields, or None, deciding a copy-free host
+    from one row per orbit of the given symmetries.
 
     `symmetries` are permutations of ``range(len(adj))``, each acting on
     rows and columns alike; each is checked to be an automorphism of the
@@ -411,14 +395,14 @@ def first_kst(
     map taking a to r gives a copy with r on its s-side.  The search
     therefore first asks, for the least row r of each orbit, whether any
     copy has r on its s-side; if none does, the host is copy-free.
-    Otherwise the full search above returns the first copy, so the answer
-    never depends on the symmetries given.
+    Otherwise the full search returns the first copy, so the answer never
+    depends on the symmetries given.
     """
     if symmetries:
         leads = _orbit_leads(adj, left_mask, right_mask, symmetries)
-        if next(_kst_copies(adj, s, t, left_mask, right_mask, False, leads), None) is None:
+        if next(_kst_copies(adj, s, t, left_mask, right_mask, leads), None) is None:
             return None
-    return next(_kst_copies(adj, s, t, left_mask, right_mask, s == t), None)
+    return next(_kst_copies(adj, s, t, left_mask, right_mask), None)
 
 
 def _orbit_leads(adj, left_mask: int, right_mask: int, symmetries) -> list[int]:
@@ -463,11 +447,10 @@ def _orbit_leads(adj, left_mask: int, right_mask: int, symmetries) -> list[int]:
     return [v for v in rows if root(v) == v]
 
 
-def _kst_copies(adj, s: int, t: int, left_mask: int, right_mask: int, cut: bool, leads=None):
-    """`iter_kst`'s search; with cut, columns at or below the first s-side
-    vertex are dropped when the rows pass `first_kst`'s condition.  Given
-    `leads`, it yields instead, for each lead row in turn, the copies with
-    that row first on their s-side and the others ascending after it."""
+def _kst_copies(adj, s: int, t: int, left_mask: int, right_mask: int, leads=None):
+    """`iter_kst`'s search.  Given `leads`, it yields instead, for each lead
+    row in turn, the copies with that row first on their s-side and the
+    others ascending after it."""
     rows = [(v, adj[v] & right_mask) for v in iter_bits(left_mask)]
     rows = [(v, row) for v, row in rows if row.bit_count() >= t]
     # The counters are lanes of one integer, w bits each: lane k holds the
@@ -485,24 +468,16 @@ def _kst_copies(adj, s: int, t: int, left_mask: int, right_mask: int, cut: bool,
             radj[x] |= copies
     every = (1 << w) - 1
     top = t * w
-    if cut:
-        # first_kst's condition: lane 1 of radj[x] holds the rows with column
-        # x, so x must be a row, not among them, with each of them a column
-        for x, by in enumerate(radj):
-            by = by >> w & every
-            if by and (not left_mask >> x & 1 or by >> x & 1 or by & ~(adj[x] & right_mask)):
-                cut = False
-                break
 
-    def rec(chosen: tuple, inter: int, cand: int):
+    def rec(chosen: tuple, inter: int, cand: int, pool: int = 0):
+        # the next level draws from the rows left in cand, and from pool:
+        # a lead's level has cand = {lead} and every other row in pool
         last = len(chosen) == s - 1
         while cand:
             low = cand & -cand
             cand ^= low
             v = low.bit_length() - 1
             ninter = inter & adj[v]
-            if cut and not chosen:
-                ninter &= -(2 << v)
             if last:
                 for b in combinations(iter_bits(ninter), t):
                     yield chosen + (v,), b
@@ -513,7 +488,7 @@ def _kst_copies(adj, s: int, t: int, left_mask: int, right_mask: int, cut: bool,
                 low = rest & -rest
                 rest ^= low
                 counts |= (counts << w) & radj[low.bit_length() - 1]
-            ncand = cand & counts >> top
+            ncand = (cand | pool) & counts >> top
             if ncand:
                 yield from rec(chosen + (v,), ninter, ncand)
 
@@ -521,20 +496,8 @@ def _kst_copies(adj, s: int, t: int, left_mask: int, right_mask: int, cut: bool,
         yield from rec((), right_mask, first)
         return
     for v in leads:
-        if not first >> v & 1:
-            continue
-        inter = right_mask & adj[v]
-        if s == 1:
-            for b in combinations(iter_bits(inter), t):
-                yield (v,), b
-            continue
-        counts = every
-        rest = inter
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            counts |= (counts << w) & radj[low.bit_length() - 1]
-        yield from rec((v,), inter, first & ~(1 << v) & counts >> top)
+        if first >> v & 1:
+            yield from rec((), right_mask, 1 << v, first & ~(1 << v))
 
 
 def kst_through(adj, s: int, t: int, left_mask: int, right_mask: int, anchor, accept=None) -> bool:
@@ -902,16 +865,11 @@ def _first_copy(host: GraphHost, spec: PatternSpec) -> EmbeddingWitness | None:
     orientation alone gives the same answer and witness."""
     if not host.can_hold(spec):
         return None
-    core = spec.core
     sides = _side_masks(spec, host.left_mask, host.right_mask)
-    if len(sides) > 1 and _swaps_parts(core):
+    if len(sides) > 1 and _swaps_parts(spec.core):
         sides = sides[:1]
     for lm, rm in sides:
-        if spec.is_complete:
-            copy = first_kst(host.adj, core.m, core.n, lm, rm)
-            emb = None if copy is None else copy[0] + copy[1]
-        else:
-            emb = next(_iter_pattern_embeddings(spec, host.adj, lm, rm), None)
+        emb = next(_iter_pattern_embeddings(spec, host.adj, lm, rm), None)
         if emb is not None:
             return EmbeddingWitness(emb)
     return None

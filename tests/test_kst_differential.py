@@ -12,10 +12,10 @@ K{1,t} and K{s,1}, on symmetric graphs and on bipartite hosts with one part
 mask per side; a second test checks that it stops at the copy accept takes.
 `first_kst` must return the reference's first copy: on symmetric graphs
 with s == t and equal masks, and on symmetric bipartite rows (``left_adj ==
-right_adj``, empty diagonal, the cross layer's shape), where it searches
-only the columns above the first s-side vertex; and where it may not, on
-one-sided rows, on graphs with masks and sides drawn independently, and on
-four small hosts that each break one part of its condition.
+right_adj``, empty diagonal, the cross layer's shape); and on one-sided
+rows, on graphs with masks and sides drawn independently, and on four small
+hosts whose copies do not all come in swapped pairs and whose first copy
+has a column below its first s-side vertex.
 """
 
 import itertools
