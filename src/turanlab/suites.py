@@ -22,7 +22,7 @@ from .constructions import (
     norm_ratio_count,
     vertex_coords,
 )
-from .errors import InvariantViolationError
+from .errors import CapExceededError, InvariantViolationError
 from .ff import (
     field_tables,
     make_field,
@@ -336,9 +336,17 @@ SUITES = {
 PARAMS = tuple(dict.fromkeys(k for suite in SUITES.values() for k in suite.params))
 DEFAULTS = {"n": 8, "count": 25}
 
+# the seeded suites' hosts have up to --n vertices, and their cost grows
+# fast with it: one greedy-extend case took 3.1 s at n = 32 and 49 s at 64
+MAX_SUITE_VERTICES = 32
+
 
 def run_suite(name: str, params: dict, seed: int = 0) -> tuple[int, dict]:
-    """Run the named suite on the parameters it reads; returns (violations, details)."""
+    """Run the named suite on the parameters it reads; returns (violations, details).
+
+    A seeded suite refuses, before it draws any host, a negative parameter
+    (ValueError) and an --n above MAX_SUITE_VERTICES (CapExceededError).
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite: {name!r}")
     suite = SUITES[name]
@@ -347,5 +355,7 @@ def run_suite(name: str, params: dict, seed: int = 0) -> tuple[int, dict]:
         for key, value in zip(suite.params, args):
             if value < 0:
                 raise ValueError(f"--{key} must be non-negative, got {value}")
+        if params["n"] > MAX_SUITE_VERTICES:
+            raise CapExceededError(f"--n is capped at {MAX_SUITE_VERTICES} vertices, got {params['n']}")
         args.append(seed)
     return suite.run(*args)

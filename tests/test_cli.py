@@ -433,6 +433,23 @@ class TestConstructionCap:
         assert "125798400 edges" in status["error"]
 
 
+class TestSuiteCap:
+    @pytest.mark.parametrize("suite", ["fullness", "greedy-extend", "decomposition"])
+    def test_seeded_suite_over_the_cap_exits_3(self, suite):
+        t0 = time.monotonic()
+        code, out, status = run_cli("check", suite, "--n", "33")
+        assert time.monotonic() - t0 < 1.0
+        assert code == 3 and out == ""
+        assert status["exit"] == 3 and status["status"] == "error"
+        assert status["error"] == "--n is capped at 32 vertices, got 33"
+
+    @pytest.mark.parametrize("suite", ["fullness", "greedy-extend", "decomposition"])
+    def test_seeded_suite_at_the_cap_runs(self, capsys, suite):
+        assert main(["check", suite, "--n", "32", "--count", "0"]) == 0
+        status = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert status["exit"] == 0 and status["violations"] == 0
+
+
 @pytest.mark.parametrize(
     "core, field",
     [
