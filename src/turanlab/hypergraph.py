@@ -303,29 +303,7 @@ class SemibipartiteThreeGraph(_Host):
         )
 
 
-# -- shadows, links, degree statistics --
-
-
-def shadow(h: ThreeGraph | SemibipartiteThreeGraph, i: int):
-    """i=1: set of pairs covered by some edge.  i=2: set of covered vertices.
-
-    Semibipartite input is viewed as its plain 3-graph (right part shifted).
-    """
-    if isinstance(h, SemibipartiteThreeGraph):
-        h = h.to_three_graph()
-    if i == 1:
-        out: set = set()
-        for a, b, c in h.edges:
-            out.add((a, b))
-            out.add((a, c))
-            out.add((b, c))
-        return out
-    if i == 2:
-        verts: set = set()
-        for e in h.edges:
-            verts.update(e)
-        return verts
-    raise ValueError(f"shadow order must be 1 or 2, got {i}")
+# -- degree statistics --
 
 
 def degree_stats(g: _Host) -> DegreeStats:

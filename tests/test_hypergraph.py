@@ -18,7 +18,6 @@ from turanlab.hypergraph import (
     from_graph6,
     from_json_dict,
     loads,
-    shadow,
     to_graph6,
 )
 
@@ -71,14 +70,6 @@ def test_three_graph_names_the_first_bad_triple(n, edges, message):
 def test_three_graph_accepts_a_generator_in_any_order():
     h = ThreeGraph(5, (t[::-1] for t in [(2, 3, 4), (0, 1, 2), (0, 1, 4)]))
     assert h.edges == ((0, 1, 2), (0, 1, 4), (2, 3, 4))
-
-
-def test_shadow_example():
-    h = ThreeGraph(4, [(0, 1, 2), (0, 1, 3)])
-    assert shadow(h, 1) == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}
-    assert shadow(h, 2) == {0, 1, 2, 3}
-    with pytest.raises(ValueError):
-        shadow(h, 3)
 
 
 def test_three_graph_degree_stats():
