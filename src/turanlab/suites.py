@@ -336,8 +336,8 @@ SUITES = {
 PARAMS = tuple(dict.fromkeys(k for suite in SUITES.values() for k in suite.params))
 DEFAULTS = {"n": 8, "count": 25}
 
-# the seeded suites' hosts have up to --n vertices, and their cost grows
-# fast with it: one greedy-extend case took 3.1 s at n = 32 and 49 s at 64
+# the seeded suites draw hosts of up to --n vertices, and their cost grows
+# steeply with it (a random 3-graph alone draws C(n, 3) numbers)
 MAX_SUITE_VERTICES = 32
 
 
