@@ -447,50 +447,40 @@ def test_bipartite_search_matches_oracle():
 # -- the finders' witness for a complete core --
 
 
-def _first_kst_copy(adj, s, t, left_mask, right_mask):
-    copy = next(iter_kst(adj, s, t, left_mask, right_mask), None)
-    return None if copy is None else copy[0] + copy[1]
+def _symmetric_bipartite(g):
+    """g read as a bipartite graph with left_adj == right_adj and an empty
+    diagonal, so every K{s,t} copy (A, B) comes with its swap (B, A)."""
+    return BipartiteGraph(g.n, g.n, [e for a, b in g.edges for e in ((a, b), (b, a))])
 
 
 @st.composite
 def _swap_closed_graphs(draw):
-    """A graph read as itself or as the bipartite graph with left_adj ==
-    right_adj and an empty diagonal: either way every K{s,t} copy (A, B)
-    comes with its swap (B, A)."""
     n = draw(st.integers(1, 11))
     density = draw(st.sampled_from((0.2, 0.5, 0.8, 1.0)))
     rng = draw(st.randoms(use_true_random=False))
     g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
-    if draw(st.booleans()):
-        return g
-    return BipartiteGraph(n, n, [e for a, b in g.edges for e in ((a, b), (b, a))])
-
-
-def _finder_witness(g, spec):
-    if isinstance(g, Graph):
-        return find_in_graph(g, spec)
-    return find_ordered_bipartite(g, spec)
+    return _symmetric_bipartite(g) if draw(st.booleans()) else g
 
 
 def _assert_finders_return_the_first_kst_copy(g, s, t):
     """The finders' witness for K{s,t}, in combined labels, is the first
     copy `iter_kst` yields with the core's first part on the left mask."""
     host = GraphHost.of(g)
-    want = _first_kst_copy(host.adj, s, t, host.left_mask, host.right_mask)
-    specs = [complete_bipartite(s, t)]
-    if isinstance(g, BipartiteGraph):
-        specs.append(complete_bipartite(s, t, placement="ordered"))
-    for spec in specs:
-        got = _finder_witness(g, spec)
-        assert (None if got is None else got.core_map) == want, spec.display_name()
+    copy = next(iter_kst(host.adj, s, t, host.left_mask, host.right_mask), None)
+    want = None if copy is None else copy[0] + copy[1]
+    if isinstance(g, Graph):
+        witnesses = [find_in_graph(g, complete_bipartite(s, t))]
+    else:
+        witnesses = [find_ordered_bipartite(g, complete_bipartite(s, t, placement=placement))
+                     for placement in ("unordered", "ordered")]
+    for got in witnesses:
+        assert (None if got is None else got.core_map) == want
     return want
 
 
 @pytest.mark.parametrize("bipartite", [False, True])
 def test_finder_witness_on_a_norm_graph_is_the_first_kst_copy(bipartite):
-    g = norm_graph(3, 3)
-    if bipartite:
-        g = BipartiteGraph(g.n, g.n, [e for a, b in g.edges for e in ((a, b), (b, a))])
+    g = _symmetric_bipartite(norm_graph(3, 3)) if bipartite else norm_graph(3, 3)
     assert _assert_finders_return_the_first_kst_copy(g, 2, 2) is not None
 
 
