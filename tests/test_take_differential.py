@@ -11,7 +11,10 @@ exactly when no spec answers yes, must leave the host as it was when it is
 false, and must leave it equal to the copy with e added when it is true.
 The planned take is built once per example and kept across the steps, as a
 solve keeps it.  Complete cores, C6 and other cores, expansions, every
-placement, and specs the host's parts cannot hold are all drawn.
+placement, and specs the host's parts cannot hold are all drawn.  The
+complete cores cover every form of the rank-2 take: K{1,1} (no search, every
+take refused), s = 2 with t - 1 up to 3 with either anchor leading the
+s-side, and s up to 4.
 """
 
 import itertools
@@ -67,10 +70,17 @@ def _reference(host, make, specs, e):
     return hit, twin
 
 
-def _run(data, make, universe, pool):
-    """Random host over the universe, one or two specs, then a step sequence."""
+def _run(data, make, universe, pool, dense=False):
+    """Random host over the universe, one or two specs, then a step sequence.
+
+    A host holds at most half the universe, or at least half if `dense`, so
+    that large cores have copies to find."""
     specs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
-    present = data.draw(st.sets(st.sampled_from(universe), max_size=len(universe) // 2))
+    if dense:
+        size = data.draw(st.integers(len(universe) // 2, len(universe) - 4))
+        present = set(data.draw(st.permutations(universe))[:size])
+    else:
+        present = data.draw(st.sets(st.sampled_from(universe), max_size=len(universe) // 2))
     host = make()
     for e in present:
         host.add(e)
@@ -100,10 +110,12 @@ def _run(data, make, universe, pool):
 
 
 GRAPH_POOL = [
+    complete_bipartite(1, 1),
     complete_bipartite(1, 2),
     complete_bipartite(2, 2),
     complete_bipartite(2, 3),
     complete_bipartite(3, 3),
+    complete_bipartite(2, 4),
     even_cycle(4),
     even_cycle(6),
     theta(1, 3, 3),
@@ -127,6 +139,8 @@ BIPARTITE_POOL = [
     complete_bipartite(2, 3, placement="ordered"),
     complete_bipartite(3, 2),
     complete_bipartite(3, 3, placement="ordered"),
+    complete_bipartite(2, 4),
+    complete_bipartite(4, 2),
     even_cycle(6),
     even_cycle(6, placement="ordered"),
     theta(1, 3, 3),
@@ -143,6 +157,29 @@ BIPARTITE_POOL = [
 def test_take_matches_checks_on_bipartite_hosts(m, n, data):
     universe = [(u, m + w) for u in range(m) for w in range(n)]
     _run(data, lambda: GraphHost(m, n), universe, BIPARTITE_POOL)
+
+
+DENSE_POOL = [
+    complete_bipartite(1, 3),
+    complete_bipartite(2, 4),
+    complete_bipartite(4, 2),
+    complete_bipartite(3, 3),
+]
+
+
+@pytest.mark.parametrize("n", [7, 9])
+@_settings(40)
+@given(data=st.data())
+def test_take_matches_checks_on_dense_graphs(n, data):
+    _run(data, lambda: GraphHost(n), list(itertools.combinations(range(n), 2)), DENSE_POOL, dense=True)
+
+
+@pytest.mark.parametrize("m,n", [(4, 5), (5, 4)])
+@_settings(40)
+@given(data=st.data())
+def test_take_matches_checks_on_dense_bipartite_hosts(m, n, data):
+    universe = [(u, m + w) for u in range(m) for w in range(n)]
+    _run(data, lambda: GraphHost(m, n), universe, DENSE_POOL, dense=True)
 
 
 # -- rank 3 --
@@ -199,3 +236,13 @@ def test_pools_cover_every_placement_and_core_kind():
     assert {(s.expansion, s.is_complete) for s in pools} == {
         (False, False), (False, True), (True, False), (True, True)}
     assert even_cycle(6) in GRAPH_POOL and even_cycle(6, expansion=True) in THREE_GRAPH_POOL
+
+
+def test_pools_cover_every_rank2_complete_core_form():
+    # (s, t, placement) of the complete cores on each rank-2 pool
+    def cores(pool):
+        return {(s.core.m, s.core.n, s.placement) for s in pool if s.is_complete}
+
+    assert {(1, 1, "unordered"), (2, 2, "unordered"), (2, 4, "unordered")} <= cores(GRAPH_POOL)
+    assert {(2, 4, "unordered"), (4, 2, "unordered"), (3, 3, "ordered")} <= cores(BIPARTITE_POOL)
+    assert {(2, 4, "unordered"), (4, 2, "unordered")} <= cores(DENSE_POOL)
