@@ -45,7 +45,7 @@ them may mutate it.  It keeps one entry, not one per host, because callers
 ask many questions of one host before moving on, and a kept index would
 hold each host's pair links for as long as the host lives.
 
-The solver-facing checks `pattern_through_edge` and
+The per-call checks `pattern_through_edge` and
 `expansion_through_triple` ask whether the edge (or triple) just added
 completes a copy, and both ask it of one anchored check: does an accept
 callback (at rank 3, the apex match forced onto the anchored core edge)
@@ -62,7 +62,13 @@ than the search.  Any other core follows its arc's embedding plan.  The
 orientations, arcs and plans depend only on the spec and the host's part
 masks, so `plan_take` fixes them once per solve and returns the solvers'
 step take(e), which adds e unless it completes a copy; the two checks
-above plan the same way on every call.
+above plan the same way on every call.  At rank 2, take runs a complete
+core's test itself, from anchor tuples that `_kst_anchors` derives for it
+and for the per-call check alike: for s = 2 (C4, K{2,t}) it is a flat loop
+over the pool with no call, and for s >= 3 one call into `kst_through`'s
+recursion.  So the solvers never run `pattern_through_edge` or
+`expansion_through_triple`: those are the reference paths the differential
+tests check take against.
 """
 
 from __future__ import annotations
@@ -519,7 +525,8 @@ def kst_through(adj, s: int, t: int, left_mask: int, right_mask: int, anchor, ac
 
 def _kst_through_from(adj, more: int, need: int, pool: int, inter: int, chosen, lead, accept) -> bool:
     """`kst_through` past its anchor: add `more` pool members in ascending
-    order, each keeping `need` members of the running intersection."""
+    order, each keeping `need` members of the running intersection.
+    Without accept, a last member that keeps them is already a hit."""
     if not more:
         if accept is None:
             return True
@@ -527,14 +534,16 @@ def _kst_through_from(adj, more: int, need: int, pool: int, inter: int, chosen, 
             if accept(chosen, lead + rest):
                 return True
         return False
+    last = more == 1 and accept is None
     while pool:
         low = pool & -pool
         pool ^= low
         v = low.bit_length() - 1
         ninter = inter & adj[v]
-        if ninter.bit_count() >= need:
-            if _kst_through_from(adj, more - 1, need, pool, ninter, chosen + (v,), lead, accept):
-                return True
+        if ninter.bit_count() >= need and (
+            last or _kst_through_from(adj, more - 1, need, pool, ninter, chosen + (v,), lead, accept)
+        ):
+            return True
     return False
 
 
@@ -970,6 +979,22 @@ def iter_graph_embeddings(g: Graph, spec: PatternSpec) -> Iterator[tuple[int, ..
 # -- solver-facing incremental checks --
 
 
+def _kst_anchors(spec: PatternSpec, left_mask: int, right_mask: int) -> tuple[tuple, ...]:
+    """The anchored K{s,t} tests of a complete core on a host with these
+    part masks: (s - 1, t - 1, first-part mask, second-part mask, does u
+    lead the s-side) per orientation the placement allows and per arc.
+
+    An arc of a complete core lies on edge 0, from core vertex 0 to s or
+    back, so on the host pair (u, v) either u leads the copy's s-side and
+    v its t-side, or the other way round."""
+    s, t = spec.core.m, spec.core.n
+    return tuple(
+        (s - 1, t - 1, lm, rm, x < s)
+        for lm, rm in _side_masks(spec, left_mask, right_mask)
+        for _, x, _ in spec.arcs
+    )
+
+
 def _plan_through_pair(spec: PatternSpec, left_mask: int, right_mask: int):
     """Plan the anchored check of one spec on a host with these part masks.
 
@@ -991,16 +1016,12 @@ def _plan_through_pair(spec: PatternSpec, left_mask: int, right_mask: int):
     plan tests its anchored edge, so the host must hold the pair.
     """
     s, t = spec.core.m, spec.core.n
-    # every core edge runs from the first part (lm) to the second (rm)
-    sides = _side_masks(spec, left_mask, right_mask)
     if spec.is_complete:
-        # an arc of a complete core lies on edge 0, from core vertex 0 to s
-        # or back: u leads the copy's s-side or its t-side
-        anchors = tuple((lm, rm, x < s) for lm, rm in sides for _, x, _ in spec.arcs)
+        anchors = _kst_anchors(spec, left_mask, right_mask)
 
         def through(adj, u, v, avoid=0, accept=None):
             kst_accept = None if accept is None else (lambda s_side, t_side: accept(s_side + t_side, 0))
-            for lm, rm, forward in anchors:
+            for _, _, lm, rm, forward in anchors:
                 ha, hb = (u, v) if forward else (v, u)
                 lm &= ~avoid
                 rm &= ~avoid
@@ -1014,6 +1035,8 @@ def _plan_through_pair(spec: PatternSpec, left_mask: int, right_mask: int):
         (ei, x, y, _embedding_plan(s + t, spec.combined_edges, (min(x, y), max(x, y))))
         for ei, x, y in spec.arcs
     )
+    # every core edge runs from the first part (lm) to the second (rm)
+    sides = _side_masks(spec, left_mask, right_mask)
 
     def through(adj, u, v, avoid=0, accept=None):
         for lm, rm in sides:
@@ -1076,10 +1099,14 @@ def plan_take(host: GraphHost, specs) -> Callable[[tuple], bool]:
 
     Specs the host's parts cannot hold are dropped first, and each kept
     spec's check is planned here, once per host, as `pattern_through_edge`
-    and `expansion_through_triple` plan theirs on every call.  A complete
-    core's check at rank 2 runs before the edge is added, since it never
-    reads the pair's own bit, so a hit costs no add and no remove; every
-    other check runs on the host holding the new edge.
+    and `expansion_through_triple` plan theirs on every call.  At rank 2 a
+    complete core's test runs inline, anchor by anchor (`_kst_anchors`),
+    as `kst_through` without accept: for s = 2 a flat loop over the pool
+    asks whether some member x keeps t - 1 members of the intersection
+    N(ha) & adj[x], with no call, and for s >= 3 take calls the recursion
+    `_kst_through_from` directly.  That test runs before the edge is added,
+    since it never reads the pair's own bit, so a hit costs no add and no
+    remove; every other check runs on the host holding the new edge.
     """
     specs = [s for s in specs if host.can_hold(s)]
     add, remove = host.add, host.remove
@@ -1097,13 +1124,27 @@ def plan_take(host: GraphHost, specs) -> Callable[[tuple], bool]:
         return take
 
     adj, lm, rm = host.adj, host.left_mask, host.right_mask
-    before = tuple(_plan_through_pair(s, lm, rm) for s in specs if s.is_complete)
+    anchors = tuple(a for s in specs if s.is_complete for a in _kst_anchors(s, lm, rm))
     after = tuple(_plan_through_pair(s, lm, rm) for s in specs if not s.is_complete)
 
     def take(e):
         u, v = e
-        for through in before:
-            if through(adj, u, v):
+        # each anchor runs `kst_through` without accept, inline; s = 2 makes no call
+        for more, need, first, second, forward in anchors:
+            ha, hb = (u, v) if forward else (v, u)
+            if not (first >> ha & 1 and second >> hb & 1):
+                continue
+            inter = adj[ha] & second & ~(1 << hb)
+            if inter.bit_count() < need:
+                continue
+            pool = adj[hb] & first & ~(1 << ha)
+            if more == 1:
+                while pool:
+                    low = pool & -pool
+                    pool ^= low
+                    if (inter & adj[low.bit_length() - 1]).bit_count() >= need:
+                        return False
+            elif _kst_through_from(adj, more, need, pool, inter, (ha,), (hb,), None):
                 return False
         add(e)
         for through in after:

@@ -45,10 +45,14 @@ visits.  Every witness is re-verified against the full pattern finders
 before being returned.
 
 Rule (i) is the hot path: one planned check per tested edge, the anchored
-`pattern_through_edge` or `expansion_through_triple` with its masks, arcs
-and embedding plans fixed once per solve.  Both anchor on the new pair one
-directed core edge per symmetry class of the core (`PatternSpec.arcs`: one
-for C4 and for C6); see `turanlab.patterns`.  Before the search,
+check of `turanlab.patterns` with its masks, arcs and embedding plans
+fixed once per solve.  It anchors on the new pair one directed core edge
+per symmetry class of the core (`PatternSpec.arcs`: one for C4 and for
+C6).  At rank 2, take runs a complete core's K{s,t} test inline, for
+s = 2 (C4, K{2,t}) as a flat loop over the pool with no call;
+`pattern_through_edge` and `expansion_through_triple` are the per-call
+reference paths the differential tests check take against, not the code
+the solvers run.  Before the search,
 `plan_take` drops the patterns the host's parts cannot hold
 (`GraphHost.can_hold`), so (i) never asks about them.  The apexes of an
 expansion are distinct and lie outside its core, and every triple of a
