@@ -1093,19 +1093,20 @@ def expansion_through_triple(
 
 def plan_take(host: GraphHost, specs) -> Callable[[tuple], bool]:
     """The solvers' per-edge step on a host they grow: take(e) adds the edge
-    (a triple on a `ThreeGraphHost`) and returns True unless it completes a
-    copy of some spec, in which case the host is left as it was and it
-    returns False.
+    (a triple on a `ThreeGraphHost`), which the host does not hold yet, and
+    returns True unless it completes a copy of some spec, in which case the
+    host is left as it was and it returns False.
 
     Specs the host's parts cannot hold are dropped first, and each kept
     spec's check is planned here, once per host, as `pattern_through_edge`
     and `expansion_through_triple` plan theirs on every call.  At rank 2 a
-    complete core's test runs inline, anchor by anchor (`_kst_anchors`),
-    as `kst_through` without accept: for s = 2 a flat loop over the pool
-    asks whether some member x keeps t - 1 members of the intersection
-    N(ha) & adj[x], with no call, and for s >= 3 take calls the recursion
-    `_kst_through_from` directly.  That test runs before the edge is added,
-    since it never reads the pair's own bit, so a hit costs no add and no
+    complete core's test runs inline, before the edge is added, anchor by
+    anchor (`_kst_anchors`), as `kst_through` without accept would: the
+    intersection is N(ha) in the t-side mask and the pool N(hb) in the
+    s-side mask, which leave out hb and ha while the pair is no edge.  For
+    s = 2 a flat loop over the pool asks whether some member x keeps t - 1
+    members of N(ha) & N(x), with no call; for s >= 3 take calls the
+    recursion `_kst_through_from` directly.  A hit costs no add and no
     remove; every other check runs on the host holding the new edge.
     """
     specs = [s for s in specs if host.can_hold(s)]
@@ -1134,10 +1135,10 @@ def plan_take(host: GraphHost, specs) -> Callable[[tuple], bool]:
             ha, hb = (u, v) if forward else (v, u)
             if not (first >> ha & 1 and second >> hb & 1):
                 continue
-            inter = adj[ha] & second & ~(1 << hb)
+            inter = adj[ha] & second
             if inter.bit_count() < need:
                 continue
-            pool = adj[hb] & first & ~(1 << ha)
+            pool = adj[hb] & first
             if more == 1:
                 while pool:
                     low = pool & -pool

@@ -236,13 +236,8 @@ def test_pools_cover_every_placement_and_core_kind():
     assert {(s.expansion, s.is_complete) for s in pools} == {
         (False, False), (False, True), (True, False), (True, True)}
     assert even_cycle(6) in GRAPH_POOL and even_cycle(6, expansion=True) in THREE_GRAPH_POOL
-
-
-def test_pools_cover_every_rank2_complete_core_form():
-    # (s, t, placement) of the complete cores on each rank-2 pool
-    def cores(pool):
-        return {(s.core.m, s.core.n, s.placement) for s in pool if s.is_complete}
-
-    assert {(1, 1, "unordered"), (2, 2, "unordered"), (2, 4, "unordered")} <= cores(GRAPH_POOL)
-    assert {(2, 4, "unordered"), (4, 2, "unordered"), (3, 3, "ordered")} <= cores(BIPARTITE_POOL)
-    assert {(2, 4, "unordered"), (4, 2, "unordered")} <= cores(DENSE_POOL)
+    # every form of the rank-2 complete-core take: s = 1, s = 2 with either
+    # anchor leading the s-side, and s = 4
+    assert complete_bipartite(1, 1) in GRAPH_POOL and complete_bipartite(2, 4) in GRAPH_POOL
+    for pool in BIPARTITE_POOL, DENSE_POOL:
+        assert complete_bipartite(2, 4) in pool and complete_bipartite(4, 2) in pool
