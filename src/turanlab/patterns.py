@@ -63,12 +63,11 @@ orientations, arcs and plans depend only on the spec and the host's part
 masks, so `plan_take` fixes them once per solve and returns the solvers'
 step take(e), which adds e unless it completes a copy; the two checks
 above plan the same way on every call.  At rank 2, take runs a complete
-core's test itself, from anchor tuples that `_kst_anchors` derives for it
-and for the per-call check alike: for s = 2 (C4, K{2,t}) it is a flat loop
-over the pool with no call, and for s >= 3 one call into `kst_through`'s
-recursion.  So the solvers never run `pattern_through_edge` or
-`expansion_through_triple`: those are the reference paths the differential
-tests check take against.
+core's test itself, from the anchor tuples `_kst_anchors` derives for both:
+for s = 2 (C4, K{2,t}) a flat loop over the pool with no call, for s >= 3
+one call into `kst_through`'s recursion.  So the solvers never run
+`pattern_through_edge` or `expansion_through_triple`: those are the
+reference paths the differential tests check take against.
 """
 
 from __future__ import annotations
@@ -980,13 +979,11 @@ def iter_graph_embeddings(g: Graph, spec: PatternSpec) -> Iterator[tuple[int, ..
 
 
 def _kst_anchors(spec: PatternSpec, left_mask: int, right_mask: int) -> tuple[tuple, ...]:
-    """The anchored K{s,t} tests of a complete core on a host with these
-    part masks: (s - 1, t - 1, first-part mask, second-part mask, does u
-    lead the s-side) per orientation the placement allows and per arc.
-
-    An arc of a complete core lies on edge 0, from core vertex 0 to s or
-    back, so on the host pair (u, v) either u leads the copy's s-side and
-    v its t-side, or the other way round."""
+    """A complete core's anchored K{s,t} tests on a host with these part
+    masks, one per orientation the placement allows and per arc: (s - 1,
+    t - 1, first-part mask, second-part mask, does u lead the s-side).  An
+    arc of a complete core lies on edge 0, from core vertex 0 to s or back,
+    so on the host pair (u, v) u leads the copy's s-side or its t-side."""
     s, t = spec.core.m, spec.core.n
     return tuple(
         (s - 1, t - 1, lm, rm, x < s)
@@ -1130,7 +1127,6 @@ def plan_take(host: GraphHost, specs) -> Callable[[tuple], bool]:
 
     def take(e):
         u, v = e
-        # each anchor runs `kst_through` without accept, inline; s = 2 makes no call
         for more, need, first, second, forward in anchors:
             ha, hb = (u, v) if forward else (v, u)
             if not (first >> ha & 1 and second >> hb & 1):
