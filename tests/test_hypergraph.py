@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from turanlab.errors import InvariantViolationError
 from turanlab.hypergraph import (
@@ -247,3 +249,81 @@ def test_bipartite_is_forest():
     c4_and_isolated = BipartiteGraph(3, 2, c4_edges)
     assert [g.is_forest() for g in (c4, two_k2, star, c4_and_isolated)] == [False, True, True, False]
     assert BipartiteGraph(0, 0, []).is_forest()
+
+
+# -- edge order and canonical JSON, on drawn hosts of every kind --
+
+_KINDS = [Graph, BipartiteGraph, ThreeGraph, SemibipartiteThreeGraph]
+
+# every edge each kind can hold, in stored form, by part sizes
+_EDGE_POOLS = {
+    Graph: lambda n: itertools.combinations(range(n), 2),
+    BipartiteGraph: lambda m, n: itertools.product(range(m), range(n)),
+    ThreeGraph: lambda n: itertools.combinations(range(n), 3),
+    SemibipartiteThreeGraph: lambda m, n: (
+        (u, v, w) for u, v in itertools.combinations(range(m), 2) for w in range(n)
+    ),
+}
+
+_drawn = settings(
+    max_examples=60, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _draw_host(data, cls):
+    """Part sizes and a strictly increasing list of stored-form edges."""
+    sizes = [data.draw(st.integers(0, 6)) for _ in cls.size_fields]
+    pool = list(_EDGE_POOLS[cls](*sizes))
+    edges = data.draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+    return sizes, sorted(edges)
+
+
+def _as_given(data, cls, edge):
+    """The edge as a caller may hand it in: its vertices in any order the
+    kind accepts, as a tuple or a list."""
+    if cls is not BipartiteGraph:
+        head = list(edge[:2]) if cls is SemibipartiteThreeGraph else list(edge)
+        head = data.draw(st.permutations(head))
+        edge = (*head, *edge[len(head):])
+    return data.draw(st.sampled_from([tuple, list]))(edge)
+
+
+@pytest.mark.parametrize("cls", _KINDS, ids=lambda cls: cls.kind)
+@_drawn
+@given(data=st.data())
+def test_edge_order_does_not_change_the_host(cls, data):
+    sizes, edges = _draw_host(data, cls)
+    shuffled = [_as_given(data, cls, e) for e in data.draw(st.permutations(edges))]
+    hosts = [cls(*sizes, edges), cls(*sizes, shuffled), cls(*sizes, edges[::-1]),
+             cls(*sizes, iter(edges))]
+    for h in hosts:
+        assert h == hosts[0] and h.edges == tuple(edges)
+        assert h.degree_sequence() == hosts[0].degree_sequence()
+
+
+@pytest.mark.parametrize("cls", _KINDS, ids=lambda cls: cls.kind)
+@_drawn
+@given(data=st.data())
+def test_sorted_edges_with_an_adjacent_duplicate_are_refused(cls, data):
+    sizes, edges = _draw_host(data, cls)
+    if not edges:
+        sizes = [3] * len(sizes)
+        edges = [next(iter(_EDGE_POOLS[cls](*sizes)))]
+    i = data.draw(st.integers(0, len(edges) - 1))
+    with pytest.raises(ValueError) as info:
+        cls(*sizes, edges[: i + 1] + edges[i:])
+    assert str(info.value) == "duplicate edges in input"
+
+
+@pytest.mark.parametrize("cls", _KINDS, ids=lambda cls: cls.kind)
+@_drawn
+@given(data=st.data())
+def test_canonical_json_is_the_json_dict_written_compactly(cls, data):
+    sizes, edges = _draw_host(data, cls)
+    for h in (cls(*sizes, edges), cls(*sizes, [])):
+        d = h.to_json_dict()
+        assert all(type(e) is list for e in d["edges"])
+        text = dumps_canonical(h)
+        assert text == json.dumps(d, sort_keys=True, separators=(",", ":"))
+        assert loads(text) == h
