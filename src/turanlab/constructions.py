@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, InvariantViolationError
 from .ff import field_tables, is_prime, norm_indices, prime_power_decompose
-from .hypergraph import BipartiteGraph, Graph, SemibipartiteThreeGraph, iter_bits
+from .hypergraph import BipartiteGraph, Graph, SemibipartiteThreeGraph
 from .patterns import PatternSpec, iter_graph_embeddings
 
 MAX_CONSTRUCTION_ORDER = 1 << 22
@@ -260,15 +260,16 @@ def composed_construction(p: int, s1: int, s2: int) -> ComposedConstruction:
         cross = BipartiteGraph(n, n, cross.edges)
 
     cross_adj = cross.left_adj
+    common = [cross_adj[u] & cross_adj[v] for u, v in layer.edges]
     _capped_size(
-        f"composed 3-graph ({p}, {s1}, {s2})",
-        sum((cross_adj[u] & cross_adj[v]).bit_count() for u, v in layer.edges),
-        "triples",
+        f"composed 3-graph ({p}, {s1}, {s2})", sum(map(int.bit_count, common)), "triples"
     )
     triples = []
-    for u, v in layer.edges:
-        for w in iter_bits(cross_adj[u] & cross_adj[v]):
-            triples.append((u, v, w))
+    for (u, v), rest in zip(layer.edges, common):
+        while rest:
+            low = rest & -rest
+            triples.append((u, v, low.bit_length() - 1))
+            rest ^= low
     hg = SemibipartiteThreeGraph(n, n, triples)
     return ComposedConstruction(p, s1, s2, n, q, qt, layer, cross, hg)
 

@@ -3,14 +3,19 @@
 All edge sets use set semantics: duplicate edges in the input are an error,
 never silently deduplicated.  Every constructor asserts the degree handshake
 (sum of degrees = r * |edges| for r-uniform structures).  Adjacency is kept
-as int bitmasks.  Objects are immutable once built.
+as int bitmasks.  Objects are immutable once built.  While normalizing, a
+constructor notes whether the edges arrive strictly increasing, as canonical
+JSON, the composed triples and `induced` do; such input is neither re-sorted
+nor re-scanned for duplicates, and any other is sorted and scanned.
 
 The four containers share one private base, ``_Host``, which derives edge
 count, JSON dict, equality (same type, sizes and edges), hash and repr from
 each class's kind, part-size fields and edge arity.  Each container keeps
 its own constructor and per-edge checks.
 
-JSON schema (one object per file, edges sorted ascending):
+JSON schema (one object per file, edges sorted ascending).  `to_json_dict`
+returns the edges as lists; `dumps_canonical` writes the stored tuples,
+which JSON writes as the same arrays:
 
     {"kind": "graph",          "n": int,           "edges": [[u, v], ...]}
     {"kind": "bipartite",      "m": int, "n": int, "edges": [[u, w], ...]}
@@ -54,11 +59,14 @@ class DegreeStats:
     degrees: tuple[int, ...]
 
 
-def _sorted_distinct(edges: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Normalized edges sorted in place; equal neighbours are duplicates."""
-    edges.sort()
-    if any(map(tuple.__eq__, edges, edges[1:])):
-        raise ValueError("duplicate edges in input")
+def _sorted_distinct(edges: list[tuple[int, ...]], ordered: bool) -> tuple[tuple[int, ...], ...]:
+    """Normalized edges in ascending order.  A strictly increasing list
+    (`ordered`) holds neither disorder nor repeats and is kept as it is;
+    any other is sorted in place, and equal neighbours are duplicates."""
+    if not ordered:
+        edges.sort()
+        if any(map(tuple.__eq__, edges, edges[1:])):
+            raise ValueError("duplicate edges in input")
     return tuple(edges)
 
 
@@ -87,12 +95,11 @@ class _Host:
     def _sizes(self) -> tuple[int, ...]:
         return tuple(getattr(self, key) for key in self.size_fields)
 
+    def _json_fields(self, edges) -> dict:
+        return {"kind": self.kind, **dict(zip(self.size_fields, self._sizes())), "edges": edges}
+
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            **dict(zip(self.size_fields, self._sizes())),
-            "edges": [list(e) for e in self.edges],
-        }
+        return self._json_fields([list(e) for e in self.edges])
 
     def __eq__(self, other) -> bool:
         return (
@@ -119,15 +126,20 @@ class Graph(_Host):
         if n < 0:
             raise ValueError("n must be >= 0")
         norm_edges = []
+        last, ordered = (), True
         for e in edges:
             u, v = e
             if u == v:
                 raise ValueError(f"loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {e} out of range for n={n}")
-            norm_edges.append((u, v) if u < v else (v, u))
+            t = (u, v) if u < v else (v, u)
+            if t <= last:
+                ordered = False
+            last = t
+            norm_edges.append(t)
         self.n = n
-        self.edges = _sorted_distinct(norm_edges)
+        self.edges = _sorted_distinct(norm_edges, ordered)
         adj = [0] * n
         for u, v in self.edges:
             adj[u] |= 1 << v
@@ -155,14 +167,19 @@ class BipartiteGraph(_Host):
         if m < 0 or n < 0:
             raise ValueError("part sizes must be >= 0")
         norm_edges = []
+        last, ordered = (), True
         for e in edges:
             u, w = e
             if not (0 <= u < m and 0 <= w < n):
                 raise ValueError(f"edge {e} out of range for parts ({m},{n})")
-            norm_edges.append((u, w))
+            t = (u, w)
+            if t <= last:
+                ordered = False
+            last = t
+            norm_edges.append(t)
         self.m = m
         self.n = n
-        self.edges = _sorted_distinct(norm_edges)
+        self.edges = _sorted_distinct(norm_edges, ordered)
         la = [0] * m
         ra = [0] * n
         for u, w in self.edges:
@@ -211,15 +228,19 @@ class ThreeGraph(_Host):
         if n < 0:
             raise ValueError("n must be >= 0")
         norm_edges = []
+        last, ordered = (), True
         for e in edges:
             t = tuple(sorted(e))
             if not (len(t) == 3 and 0 <= t[0] < t[1] < t[2] < n):
                 if len(t) != 3 or len(set(t)) != 3:
                     raise ValueError(f"not a 3-set: {e}")
                 raise ValueError(f"edge {e} out of range for n={n}")
+            if t <= last:
+                ordered = False
+            last = t
             norm_edges.append(t)
         self.n = n
-        self.edges = _sorted_distinct(norm_edges)
+        self.edges = _sorted_distinct(norm_edges, ordered)
         self._check_handshake()
 
     def degree_sequence(self) -> list[int]:
@@ -273,6 +294,7 @@ class SemibipartiteThreeGraph(_Host):
         if m < 0 or n < 0:
             raise ValueError("part sizes must be >= 0")
         norm_edges = []
+        last, ordered = (), True
         for e in edges:
             u, v, w = e
             if u == v:
@@ -281,19 +303,24 @@ class SemibipartiteThreeGraph(_Host):
                 u, v = v, u
             if not (0 <= u < m and 0 <= v < m and 0 <= w < n):
                 raise ValueError(f"edge {e} out of range for parts ({m},{n})")
-            norm_edges.append((u, v, w))
+            t = (u, v, w)
+            if t <= last:
+                ordered = False
+            last = t
+            norm_edges.append(t)
         self.m = m
         self.n = n
-        self.edges = _sorted_distinct(norm_edges)
+        self.edges = _sorted_distinct(norm_edges, ordered)
         self._check_handshake()
 
     def degree_sequence(self) -> list[int]:
         """Degrees of left vertices 0..m-1 followed by right vertices 0..n-1."""
-        deg = [0] * (self.m + self.n)
+        m = self.m
+        deg = [0] * (m + self.n)
         for u, v, w in self.edges:
             deg[u] += 1
             deg[v] += 1
-            deg[self.m + w] += 1
+            deg[m + w] += 1
         return deg
 
     def to_three_graph(self) -> ThreeGraph:
@@ -345,8 +372,14 @@ def from_json_dict(d) -> _Host:
 
 
 def dumps_canonical(obj) -> str:
-    """Canonical single-line JSON used for files and content hashing."""
-    d = obj.to_json_dict() if hasattr(obj, "to_json_dict") else obj
+    """Canonical single-line JSON used for files and content hashing.
+
+    A host's edges are written from the stored tuples, which JSON writes
+    as arrays, so the text is that of its `to_json_dict`."""
+    if isinstance(obj, _Host):
+        d = obj._json_fields(obj.edges)
+    else:
+        d = obj.to_json_dict() if hasattr(obj, "to_json_dict") else obj
     return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 

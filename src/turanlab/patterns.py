@@ -401,18 +401,21 @@ def first_kst(
     therefore first asks, for the least row r of each orbit, whether any
     copy has r on its s-side; if none does, the host is copy-free.
     Otherwise the full search returns the first copy, so the answer never
-    depends on the symmetries given.
+    depends on the symmetries given.  Each row's columns are listed once,
+    for the map check and for both searches.
     """
-    if symmetries:
-        leads = _orbit_leads(adj, left_mask, right_mask, symmetries)
-        if next(_kst_copies(adj, s, t, left_mask, right_mask, leads), None) is None:
-            return None
-    return next(_kst_copies(adj, s, t, left_mask, right_mask), None)
+    if not symmetries:
+        return next(_kst_copies(adj, s, t, left_mask, right_mask), None)
+    leads, row_cols = _orbit_leads(adj, left_mask, right_mask, symmetries)
+    if next(_kst_copies(adj, s, t, left_mask, right_mask, leads, row_cols), None) is None:
+        return None
+    return next(_kst_copies(adj, s, t, left_mask, right_mask, None, row_cols), None)
 
 
-def _orbit_leads(adj, left_mask: int, right_mask: int, symmetries) -> list[int]:
+def _orbit_leads(adj, left_mask: int, right_mask: int, symmetries) -> tuple[list[int], dict]:
     """The least row of each orbit that `symmetries` generate on left_mask,
-    after checking that each map is an automorphism of the host.
+    after checking that each map is an automorphism of the host, and each
+    row's columns inside right_mask, ascending, by row.
 
     Each map must be a permutation sigma of ``range(len(adj))`` that maps
     left_mask and the columns of right_mask onto themselves, with
@@ -449,13 +452,14 @@ def _orbit_leads(adj, left_mask: int, right_mask: int, symmetries) -> list[int]:
             a, b = root(v), root(sigma[v])
             if a != b:
                 parent[max(a, b)] = min(a, b)
-    return [v for v in rows if root(v) == v]
+    return [v for v in rows if root(v) == v], row_cols
 
 
-def _kst_copies(adj, s: int, t: int, left_mask: int, right_mask: int, leads=None):
+def _kst_copies(adj, s: int, t: int, left_mask: int, right_mask: int, leads=None, row_cols=None):
     """`iter_kst`'s search.  Given `leads`, it yields instead, for each lead
     row in turn, the copies with that row first on their s-side and the
-    others ascending after it."""
+    others ascending after it.  `row_cols`, if given, lists each row's
+    columns as `_orbit_leads` lists them, so they are not listed again."""
     rows = [(v, adj[v] & right_mask) for v in iter_bits(left_mask)]
     rows = [(v, row) for v, row in rows if row.bit_count() >= t]
     # The counters are lanes of one integer, w bits each: lane k holds the
@@ -469,7 +473,7 @@ def _kst_copies(adj, s: int, t: int, left_mask: int, right_mask: int, leads=None
     for v, row in rows:
         first |= 1 << v
         copies = lanes << v
-        for x in iter_bits(row):
+        for x in iter_bits(row) if row_cols is None else row_cols[v]:
             radj[x] |= copies
     every = (1 << w) - 1
     top = t * w

@@ -107,9 +107,8 @@ def suite_composed(p: int, s1: int, s2: int) -> tuple[int, dict]:
     """
     c = composed_construction(p, s1, s2)
     h = c.hypergraph
-    bad_edges = sum(
-        1 for u, v, w in h.edges if not (0 <= u < v < h.m and 0 <= w < h.n)
-    )
+    m, n = h.m, h.n
+    bad_edges = sum(1 for u, v, w in h.edges if not (0 <= u < v < m and 0 <= w < n))
     t1 = factorial(s1 - 1) + 1
     t2 = factorial(s2 - 1) + 1
     layer = c.v1_layer
