@@ -134,8 +134,7 @@ class Graph(_Host):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {e} out of range for n={n}")
             t = (u, v) if u < v else (v, u)
-            if t <= last:
-                ordered = False
+            ordered = ordered and last < t
             last = t
             norm_edges.append(t)
         self.n = n
@@ -173,8 +172,7 @@ class BipartiteGraph(_Host):
             if not (0 <= u < m and 0 <= w < n):
                 raise ValueError(f"edge {e} out of range for parts ({m},{n})")
             t = (u, w)
-            if t <= last:
-                ordered = False
+            ordered = ordered and last < t
             last = t
             norm_edges.append(t)
         self.m = m
@@ -235,8 +233,7 @@ class ThreeGraph(_Host):
                 if len(t) != 3 or len(set(t)) != 3:
                     raise ValueError(f"not a 3-set: {e}")
                 raise ValueError(f"edge {e} out of range for n={n}")
-            if t <= last:
-                ordered = False
+            ordered = ordered and last < t
             last = t
             norm_edges.append(t)
         self.n = n
@@ -304,8 +301,7 @@ class SemibipartiteThreeGraph(_Host):
             if not (0 <= u < m and 0 <= v < m and 0 <= w < n):
                 raise ValueError(f"edge {e} out of range for parts ({m},{n})")
             t = (u, v, w)
-            if t <= last:
-                ordered = False
+            ordered = ordered and last < t
             last = t
             norm_edges.append(t)
         self.m = m
