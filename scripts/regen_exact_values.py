@@ -6,6 +6,14 @@ parameters, the exact value, and the closed-form certificate the value must
 stay below (empty when none of the package's bound formulas applies).
 Heavy rows take a few seconds each; the whole regeneration stays under a
 minute.
+
+`ROWS` is the table's one row list and `compute` its one row solver;
+tests/test_golden_solves.py re-solves every row through them.  To add a
+row: (1) add it to `ROWS`; (2) run this script from the repository root
+(`PYTHONPATH=src python scripts/regen_exact_values.py`); (3) re-record the
+golden fixture (`PYTHONPATH=src python tests/test_golden_solves.py`);
+(4) raise the row counts in that test and in acceptance criterion 6
+(tests/test_acceptance.py), and its certificate count there for a bounded row.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import csv
 from pathlib import Path
 
 from turanlab.patterns import parse_pattern
-from turanlab.solvers import eval_bound, ex_exact, z_exact, z_expansion_exact
+from turanlab.solvers import SolveResult, eval_bound, ex_exact, z_exact, z_expansion_exact
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "data" / "exact_values.csv"
@@ -76,23 +84,23 @@ ROWS = [
 ]
 
 
-def compute(quantity: str, params: dict) -> int:
+def compute(quantity: str, params: dict) -> SolveResult:
     if quantity == "ex":
         return ex_exact(
             params["n"],
             parse_pattern(params["pattern"]),
             host_kind=params.get("host", "graph"),
             degree_floor=params.get("degree_floor"),
-        ).value
+        )
     if quantity == "z":
-        return z_exact(params["m"], params["n"], parse_pattern(params["pattern"])).value
+        return z_exact(params["m"], params["n"], parse_pattern(params["pattern"]))
     if quantity == "zexp":
         return z_expansion_exact(
             params["m"],
             params["n"],
             parse_pattern(params["p1"]),
             parse_pattern(params["p2"]),
-        ).value
+        )
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
@@ -103,27 +111,16 @@ def encode(params: dict) -> str:
 def main() -> None:
     records = []
     for quantity, params, bound_id, bound_params in ROWS:
-        value = compute(quantity, params)
+        value = compute(quantity, params).value
         if bound_id:
             cert = eval_bound(bound_id, bound_params)
             if value > float(cert.value) + 1e-6:
                 raise AssertionError(f"{quantity} {params}: {value} exceeds {bound_id}")
-        records.append(
-            {
-                "quantity": quantity,
-                "params": encode(params),
-                "value": value,
-                "bound_id": bound_id,
-                "bound_params": encode(bound_params),
-            }
-        )
+        records.append((quantity, encode(params), value, bound_id, encode(bound_params)))
         print(f"{quantity:4s} {encode(params):60s} -> {value}")
-    OUT.parent.mkdir(parents=True, exist_ok=True)
     with OUT.open("w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["quantity", "params", "value", "bound_id", "bound_params"]
-        )
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(["quantity", "params", "value", "bound_id", "bound_params"])
         writer.writerows(records)
     print(f"wrote {len(records)} rows to {OUT}")
 

@@ -35,8 +35,10 @@ per construction, and at most 2^21 edges or triples per built object;
 beyond them CapExceededError is raised.  The edge count is known before
 any edge is built: each vertex has q^(s-1) - 1 partners, one per Y != -X,
 so a norm graph holds at most n * (q^(s-1) - 1) / 2 edges and its
-bipartite variant at most twice that.  The composed 3-graph counts its
-triples over the two capped layers before it builds them.
+bipartite variant at most twice that.  The composed 3-graph is refused
+before either layer is built: first by each layer's own cap, then when the
+layer's edge bound times the cross layer's degree bound q^(s1-1) - 1, an
+upper bound on its triples, exceeds the cap.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ def _validate_construction(q: int, s: int) -> tuple[int, int]:
     return p, k
 
 
-def _capped_size(what: str, count: int, unit: str = "edges") -> None:
+def _capped_size(what: str, count: int) -> None:
     if count > MAX_CONSTRUCTION_EDGES:
-        raise CapExceededError(f"{what} would hold {count} {unit}; capped at {MAX_CONSTRUCTION_EDGES}")
+        raise CapExceededError(f"{what} would hold {count} edges; capped at {MAX_CONSTRUCTION_EDGES}")
 
 
 def _norm_order(q: int, s: int, sides: int) -> int:
@@ -244,12 +246,22 @@ def composed_construction(p: int, s1: int, s2: int) -> ComposedConstruction:
     """Overlay norm layers for parameters (p, s1, s2) and collect triangles.
 
     Every triple is a layer edge {u, v} in the left part together with a
-    right vertex w adjacent to both u and v in the cross layer.
+    right vertex w adjacent to both u and v in the cross layer, so the
+    layer's edge bound times the cross layer's degree bound caps the
+    triple count before either layer is built.
     """
     q, qt, n, n_cross, n_layer = composed_sizes(p, s1, s2)
     if p ** (s1 * s2) > MAX_CONSTRUCTION_ORDER:
         raise CapExceededError(
             f"p^(s1*s2) = {p ** (s1 * s2)} exceeds {MAX_CONSTRUCTION_ORDER}"
+        )
+    _norm_order(qt, s2, 1)
+    _norm_order(q, s1, 2)
+    bound = n_layer * (qt ** (s2 - 1) - 1) // 2 * (q ** (s1 - 1) - 1)
+    if bound > MAX_CONSTRUCTION_EDGES:
+        raise CapExceededError(
+            f"composed 3-graph ({p}, {s1}, {s2}) would hold up to {bound} triples; "
+            f"capped at {MAX_CONSTRUCTION_EDGES}"
         )
 
     layer = norm_graph(qt, s2)
@@ -260,12 +272,9 @@ def composed_construction(p: int, s1: int, s2: int) -> ComposedConstruction:
         cross = BipartiteGraph(n, n, cross.edges)
 
     cross_adj = cross.left_adj
-    common = [cross_adj[u] & cross_adj[v] for u, v in layer.edges]
-    _capped_size(
-        f"composed 3-graph ({p}, {s1}, {s2})", sum(map(int.bit_count, common)), "triples"
-    )
     triples = []
-    for (u, v), rest in zip(layer.edges, common):
+    for u, v in layer.edges:
+        rest = cross_adj[u] & cross_adj[v]
         while rest:
             low = rest & -rest
             triples.append((u, v, low.bit_length() - 1))

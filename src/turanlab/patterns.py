@@ -26,8 +26,8 @@ row per orbit and runs the full search only when some copy exists.  All
 other cores go through a most-constrained-first backtracking embedder,
 whose placement plan (order, already-placed neighbors and core degree of
 each free vertex) depends only on the core and its anchored vertices, so
-it is compiled once and cached.  The finders search one orientation of a
-core whose parts some automorphism exchanges, such as K_{s,s} or C6.
+it is compiled once and cached.  The finders try a bipartite host's
+orientations in turn and return the first copy found.
 Expansion copies are decided per core embedding by maximum bipartite
 matching between core edges and eligible apexes.
 
@@ -857,11 +857,11 @@ def find_ordered_bipartite(g: BipartiteGraph, spec: PatternSpec) -> EmbeddingWit
     """First copy of a graph pattern in a bipartite host, or None.
 
     placement=ordered keeps the core's first part on the host's left side;
-    unordered tries both orientations, or the first alone when some
-    automorphism of the core exchanges its parts.  Witness labels are
-    combined (right part shifted by g.m).  A host whose parts cannot hold
-    the pattern (`GraphHost.can_hold`: for ordered placement, core.m left
-    and core.n right vertices) is answered None without a search.
+    unordered tries both orientations in turn, that one first, and returns
+    the first copy found.  Witness labels are combined (right part shifted
+    by g.m).  A host whose parts cannot hold the pattern
+    (`GraphHost.can_hold`: for ordered placement, core.m left and core.n
+    right vertices) is answered None without a search.
     """
     if spec.expansion:
         raise ValueError("expansion pattern against a bipartite graph host")
@@ -871,31 +871,17 @@ def find_ordered_bipartite(g: BipartiteGraph, spec: PatternSpec) -> EmbeddingWit
 
 
 def _first_copy(host: GraphHost, spec: PatternSpec) -> EmbeddingWitness | None:
-    """The first copy over the orientations of `_side_masks`.  When some
-    automorphism of the core exchanges its parts, a copy in the second
-    orientation composed with it is one in the first, so the first
-    orientation alone gives the same answer and witness."""
+    """The first copy over the orientations of `_side_masks`, tried in
+    order.  When some automorphism of the core exchanges its parts, a copy
+    in the second orientation composed with it is one in the first, so only
+    a copy-free host reaches the second."""
     if not host.can_hold(spec):
         return None
-    sides = _side_masks(spec, host.left_mask, host.right_mask)
-    if len(sides) > 1 and _swaps_parts(spec.core):
-        sides = sides[:1]
-    for lm, rm in sides:
+    for lm, rm in _side_masks(spec, host.left_mask, host.right_mask):
         emb = next(_iter_pattern_embeddings(spec, host.adj, lm, rm), None)
         if emb is not None:
             return EmbeddingWitness(emb)
     return None
-
-
-@lru_cache(maxsize=256)
-def _swaps_parts(core: BipartiteGraph) -> bool:
-    """Does some automorphism of the core exchange its two parts?"""
-    if core.m != core.n:
-        return False
-    host = GraphHost.of(core)
-    swapped = [host.right_mask] * core.m + [host.left_mask] * core.n
-    edges = tuple((a, core.m + b) for a, b in core.edges)
-    return next(_iter_core_embeddings(core.m + core.n, edges, swapped, host.adj), None) is not None
 
 
 def _try_apex_match(

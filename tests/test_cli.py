@@ -432,6 +432,20 @@ class TestConstructionCap:
         assert status["exit"] == 3 and status["status"] == "error"
         assert "125798400 edges" in status["error"]
 
+    # both layers pass their caps; the triple bound, layer edges times cross
+    # degree, refuses the pair before either layer (about 1M edges) is built
+    @pytest.mark.parametrize("args, bound", [
+        (("check", "composed", "--p", "2", "--s1", "3", "--s2", "4"), 233_506_560),
+        (("construct", "composed", "--p", "2", "--s1", "4", "--s2", "3"), 250_185_600),
+    ], ids=["check composed", "construct composed"])
+    def test_oversized_composed_hits_the_triple_bound(self, args, bound):
+        t0 = time.monotonic()
+        code, out, status = run_cli(*args)
+        assert time.monotonic() - t0 < 1.0
+        assert code == 3 and out == ""
+        assert status["exit"] == 3 and status["status"] == "error"
+        assert f"would hold up to {bound} triples" in status["error"]
+
 
 class TestSuiteCap:
     @pytest.mark.parametrize("suite", ["fullness", "greedy-extend", "decomposition"])

@@ -175,11 +175,18 @@ def test_construction_caps_and_validation():
         composed_construction(4, 3, 3)
 
 
-def test_composed_triples_are_counted_before_they_are_built(monkeypatch):
-    monkeypatch.setattr(constructions, "MAX_CONSTRUCTION_EDGES", 124_991)
-    with pytest.raises(CapExceededError, match="would hold 124992 triples"):
+def test_composed_triples_are_bounded_before_either_layer_is_built(monkeypatch):
+    # (2, 3, 3): 448 * 63 / 2 layer edges times cross degree 63 is 889,056,
+    # of which 124,992 triples are built
+    def no_build(q, s):
+        raise AssertionError(f"norm_graph({q}, {s}) was built")
+
+    monkeypatch.setattr(constructions, "norm_graph", no_build)
+    monkeypatch.setattr(constructions, "MAX_CONSTRUCTION_EDGES", 889_055)
+    with pytest.raises(CapExceededError, match="would hold up to 889056 triples"):
         composed_construction(2, 3, 3)
-    monkeypatch.setattr(constructions, "MAX_CONSTRUCTION_EDGES", 124_992)
+    monkeypatch.setattr(constructions, "norm_graph", norm_graph)
+    monkeypatch.setattr(constructions, "MAX_CONSTRUCTION_EDGES", 889_056)
     assert composed_construction(2, 3, 3).hypergraph.edge_count == 124_992
 
 

@@ -1,17 +1,26 @@
 """Every row of data/exact_values.csv re-solved against a recorded fixture.
 
-The fixture tests/data/golden_solves.json holds, per row, the value, the
+The rows come from `ROWS` in scripts/regen_exact_values.py and are solved by
+its `compute`, the code that wrote the table.  The fixture
+tests/data/golden_solves.json holds, per row, the value, the
 `nodes_explored` count and the content hash of the canonical witness JSON.
 A faster search path must reproduce all three exactly: the same search
-tree and the same lexicographically smallest witness.
+tree and the same lexicographically smallest witness.  The script's rows
+must equal the table's, and each fixture value the table's value, so every
+table value is tied to a solve.
 
 To re-record the fixture after an intended change to the search (say so in
 CHANGES.md), run from the repository root:
 
     PYTHONPATH=src python tests/test_golden_solves.py
+
+To add a row: add it to `ROWS` in the script, run the script, re-record
+this fixture, then raise the row counts here and in acceptance criterion 6
+(tests/test_acceptance.py).
 """
 
 import csv
+import importlib.util
 import inspect
 import json
 import sys
@@ -20,41 +29,23 @@ from pathlib import Path
 import pytest
 
 from turanlab.hypergraph import content_hash
-from turanlab.patterns import parse_pattern
-from turanlab.solvers import ex_exact, z_exact, z_expansion_exact
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = ROOT / "data" / "exact_values.csv"
 FIXTURE = Path(__file__).resolve().parent / "data" / "golden_solves.json"
 
+_spec = importlib.util.spec_from_file_location(
+    "regen_exact_values", ROOT / "scripts" / "regen_exact_values.py"
+)
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
 
-def _rows():
-    with TABLE.open() as fh:
-        return [(row["quantity"], row["params"]) for row in csv.DictReader(fh)]
-
-
-def _solve(quantity, params_text):
-    params = dict(item.split("=", 1) for item in params_text.split(";"))
-    if quantity == "ex":
-        floor = params.get("degree_floor")
-        return ex_exact(
-            int(params["n"]),
-            parse_pattern(params["pattern"]),
-            host_kind=params.get("host", "graph"),
-            degree_floor=None if floor is None else int(floor),
-        )
-    if quantity == "z":
-        return z_exact(int(params["m"]), int(params["n"]), parse_pattern(params["pattern"]))
-    return z_expansion_exact(
-        int(params["m"]),
-        int(params["n"]),
-        parse_pattern(params["p1"]),
-        parse_pattern(params["p2"]),
-    )
+# (quantity, encoded params) -> params, in the script's row order
+CASES = {(quantity, regen.encode(params)): params for quantity, params, _, _ in regen.ROWS}
 
 
 def _record(quantity, params_text):
-    result = _solve(quantity, params_text)
+    result = regen.compute(quantity, CASES[(quantity, params_text)])
     return {
         "quantity": quantity,
         "params": params_text,
@@ -70,12 +61,21 @@ def _fixture():
 
 
 def test_fixture_covers_every_table_row():
-    rows = _rows()
-    assert len(rows) == 25
-    assert set(_fixture()) == set(rows)
+    with TABLE.open(newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert len(table) == len(CASES) == 25
+    # the script writes these columns without solving, in file order
+    assert [(r["quantity"], r["params"], r["bound_id"], r["bound_params"]) for r in table] == [
+        (quantity, regen.encode(params), bound_id, regen.encode(bound_params))
+        for quantity, params, bound_id, bound_params in regen.ROWS
+    ]
+    fixture = _fixture()
+    assert set(fixture) == {(r["quantity"], r["params"]) for r in table}
+    for r in table:
+        assert fixture[(r["quantity"], r["params"])]["value"] == int(r["value"]), r
 
 
-@pytest.mark.parametrize("quantity,params_text", _rows(), ids=lambda x: x)
+@pytest.mark.parametrize("quantity,params_text", list(CASES), ids=lambda x: x)
 def test_solve_matches_golden(quantity, params_text):
     want = _fixture()[(quantity, params_text)]
     assert _record(quantity, params_text) == want
@@ -102,7 +102,7 @@ def test_engine_does_not_recurse_per_edge(quantity, params_text):
 
 if __name__ == "__main__":
     old = _fixture() if FIXTURE.exists() else {}
-    records = [_record(q, p) for q, p in _rows()]
+    records = [_record(q, p) for q, p in CASES]
     for rec in records:
         key = (rec["quantity"], rec["params"])
         if key not in old:

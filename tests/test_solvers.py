@@ -1,9 +1,6 @@
 """Branch-and-bound solvers vs naive enumeration, plus bound certificates."""
 
-import csv
-import importlib.util
 from itertools import combinations
-from pathlib import Path
 
 import mpmath
 import pytest
@@ -27,15 +24,12 @@ from turanlab.patterns import (
     theta,
 )
 from turanlab.solvers import (
-    BOUND_IDS,
     eval_bound,
     ex_exact,
     z_exact,
     z_expansion_exact,
     z_expansion_components,
 )
-
-DATA = Path(__file__).resolve().parent.parent / "data" / "exact_values.csv"
 
 
 # -- naive full-enumeration oracles --
@@ -468,90 +462,3 @@ def test_dominance_over_exact_values():
     for bound_id in ("z_exp_i", "z_exp_ii"):
         cert = eval_bound(bound_id, {"m": 3, "n": 3, "s1": 2, "t1": 2, "s2": 2, "t2": 2})
         assert exact <= float(cert.value) + slack
-
-
-# -- regression table --
-
-
-def decode(text):
-    out = {}
-    if not text:
-        return out
-    for item in text.split(";"):
-        k, v = item.split("=", 1)
-        out[k] = v
-    return out
-
-
-def load_rows():
-    with DATA.open() as fh:
-        return list(csv.DictReader(fh))
-
-
-def is_heavy(quantity, params):
-    if quantity == "ex" and params.get("host", "graph") == "graph" and int(params["n"]) >= 8:
-        return True
-    if quantity == "zexp" and int(params["m"]) == 4 and int(params["n"]) == 4:
-        return True
-    return False
-
-
-def test_regression_table_recompute():
-    # heavy rows (graph ex at n >= 8, 4x4 zexp) are re-derived by
-    # tests/test_golden_solves.py; everything else is recomputed here
-    rows = load_rows()
-    assert len(rows) == 25
-    checked = 0
-    for row in rows:
-        params = decode(row["params"])
-        if is_heavy(row["quantity"], params):
-            continue
-        want = int(row["value"])
-        if row["quantity"] == "ex":
-            got = ex_exact(
-                int(params["n"]),
-                parse_pattern(params["pattern"]),
-                host_kind=params.get("host", "graph"),
-                degree_floor=int(params["degree_floor"]) if "degree_floor" in params else None,
-            ).value
-        elif row["quantity"] == "z":
-            got = z_exact(
-                int(params["m"]), int(params["n"]), parse_pattern(params["pattern"])
-            ).value
-        else:
-            got = z_expansion_exact(
-                int(params["m"]),
-                int(params["n"]),
-                parse_pattern(params["p1"]),
-                parse_pattern(params["p2"]),
-            ).value
-        assert got == want, f"{row['quantity']} {row['params']}: {got} != {want}"
-        checked += 1
-    assert checked >= 16
-
-
-def test_regen_script_rows_match_the_table():
-    """scripts/regen_exact_values.py lists the table's rows, in file order.
-
-    Only the columns the script writes without solving are compared.
-    """
-    path = DATA.parent.parent / "scripts" / "regen_exact_values.py"
-    spec = importlib.util.spec_from_file_location("regen_exact_values", path)
-    regen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(regen)
-    script = [
-        (quantity, regen.encode(params), bound_id, regen.encode(bound_params))
-        for quantity, params, bound_id, bound_params in regen.ROWS
-    ]
-    table = [(r["quantity"], r["params"], r["bound_id"], r["bound_params"]) for r in load_rows()]
-    assert script == table
-
-
-def test_regression_table_respects_bounds():
-    for row in load_rows():
-        if not row["bound_id"]:
-            continue
-        assert row["bound_id"] in BOUND_IDS
-        bound_params = {k: int(v) for k, v in decode(row["bound_params"]).items()}
-        cert = eval_bound(row["bound_id"], bound_params)
-        assert int(row["value"]) <= float(cert.value) + 1e-6
