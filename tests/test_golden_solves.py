@@ -24,11 +24,13 @@ import importlib.util
 import inspect
 import json
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 from turanlab.hypergraph import content_hash
+from turanlab.solvers import eval_bound
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = ROOT / "data" / "exact_values.csv"
@@ -73,6 +75,36 @@ def test_fixture_covers_every_table_row():
     assert set(fixture) == {(r["quantity"], r["params"]) for r in table}
     for r in table:
         assert fixture[(r["quantity"], r["params"])]["value"] == int(r["value"]), r
+
+
+def _recorded_compute(quantity, params):
+    # the fixture's value for the row, in place of a solve
+    return types.SimpleNamespace(value=_fixture()[(quantity, regen.encode(params))]["value"])
+
+
+def test_script_rewrites_the_table_byte_for_byte(monkeypatch, tmp_path):
+    # the solves are pinned above; this pins what `main` writes from them
+    monkeypatch.setattr(regen, "compute", _recorded_compute)
+    monkeypatch.setattr(regen, "OUT", tmp_path / "exact_values.csv")
+    regen.main()
+    assert regen.OUT.read_bytes() == TABLE.read_bytes()
+
+
+def test_script_refuses_a_value_above_its_certificate(monkeypatch, tmp_path):
+    # ex(10, C4) = 16 against kst_ex's bound; one past the bound is refused
+    # before anything is written
+    bound = int(eval_bound("kst_ex", {"n": 10, "s": 2, "t": 2}).value)
+
+    def compute(quantity, params):
+        if (quantity, regen.encode(params)) == ("ex", "n=10;pattern=C4"):
+            return types.SimpleNamespace(value=bound + 1)
+        return _recorded_compute(quantity, params)
+
+    monkeypatch.setattr(regen, "compute", compute)
+    monkeypatch.setattr(regen, "OUT", tmp_path / "exact_values.csv")
+    with pytest.raises(AssertionError, match="exceeds kst_ex"):
+        regen.main()
+    assert not regen.OUT.exists()
 
 
 @pytest.mark.parametrize("quantity,params_text", list(CASES), ids=lambda x: x)
