@@ -56,8 +56,6 @@ from .patterns import (
 )
 from .solvers import ex_exact, z_exact
 
-VERDICT_STATUSES = ("holds", "violated", "out-of-regime")
-
 
 def _jsonable(x):
     if isinstance(x, Fraction):

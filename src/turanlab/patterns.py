@@ -12,6 +12,13 @@ distinct.  Placement controls where a copy may land in a host with parts:
 Apexes of an expansion copy are unconstrained by placement; they sit wherever
 the host's edges put them.
 
+The host decides what a pattern may do on it: `GraphHost.admit` refuses a
+pattern of the wrong kind or placement before any search, so a refusal
+never depends on the host's size, and `GraphHost.sides` lists the
+orientations the core may take.  A whole-host search of a core with a
+part-exchanging automorphism (`PatternSpec.swaps`) tries the first alone;
+the anchored checks below try every one.
+
 Vertex labels in witnesses are combined host labels: for bipartite and
 semibipartite hosts the right part is shifted by the left part size.
 
@@ -26,18 +33,19 @@ row per orbit and runs the full search only when some copy exists.  All
 other cores go through a most-constrained-first backtracking embedder,
 whose placement plan (order, already-placed neighbors and core degree of
 each free vertex) depends only on the core and its anchored vertices, so
-it is compiled once and cached.  The finders try a bipartite host's
-orientations in turn and return the first copy found.
-Expansion copies are decided per core embedding by maximum bipartite
-matching between core edges and eligible apexes.
+it is compiled once and cached.  The three finders share one body: over
+`sides` in order, each core embedding goes to a completion step, which
+returns the witness or None; a graph copy is its embedding, and an
+expansion copy is decided per core embedding by maximum bipartite matching
+between core edges and eligible apexes.
 
 Host state lives here too: `GraphHost` holds adjacency bitmasks and part
 masks, and `ThreeGraphHost` adds pair links (pair -> bitmask of third
 vertices) over a shadow it keeps in step with every added or removed triple,
 so no search rebuilds the shadow.  The solvers grow a host edge by edge.
 `GraphHost.can_hold` counts whether a host's parts have room for one copy
-of a pattern at all; the finders answer None at once when they do not, and
-the solvers drop such patterns before their search.
+of an admitted pattern at all; the finders answer None at once when they do
+not, and `plan_take` drops such patterns before a solve's search.
 The 3-graph searches that never change their host (`find_expansion`,
 `heavy_shadow_graph`, `greedy_extend`) share one read-only index,
 `_static_host`, built once for the last static 3-graph asked about: none of
@@ -51,7 +59,7 @@ completes a copy, and both ask it of one anchored check: does an accept
 callback (at rank 3, the apex match forced onto the anchored core edge)
 take some copy with a core edge on the host pair?  It anchors each of the
 spec's `arcs`, one directed core edge per orbit of the core's
-automorphisms, on the pair in each orientation the placement allows.  A
+automorphisms, on the pair in each orientation of `sides`.  A
 complete core runs `kst_through` with the pair as its edge 0: t-side
 candidates N(ha) minus hb, an s-side pool N(hb) minus ha, and a running
 intersection that must keep t - 1 members.  For C4 through uv this is the
@@ -107,6 +115,7 @@ class PatternSpec:
     name: str = ""
     is_complete: bool = field(init=False, repr=False, compare=False)
     combined_edges: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    swaps: bool = field(init=False, repr=False, compare=False)
     arcs: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,8 +128,11 @@ class PatternSpec:
         object.__setattr__(self, "is_complete", core.edge_count == core.m * core.n)
         # core edges in combined labels: right-part vertices shifted by core.m
         object.__setattr__(self, "combined_edges", tuple((a, core.m + b) for a, b in core.edges))
-        # one directed core edge per symmetry class, for the anchored checks
-        object.__setattr__(self, "arcs", _core_arcs(core, core.m == core.n and self.placement != "ordered"))
+        # whether an automorphism of the core exchanges its parts, and one
+        # directed core edge per symmetry class, for the anchored checks
+        swaps, arcs = _core_symmetry(core, self.placement == "ordered")
+        object.__setattr__(self, "swaps", swaps)
+        object.__setattr__(self, "arcs", arcs)
 
     @property
     def vertex_count(self) -> int:
@@ -139,33 +151,42 @@ class PatternSpec:
 
 
 @lru_cache(maxsize=256)
-def _core_arcs(core: BipartiteGraph, swaps: bool) -> tuple[tuple[int, int, int], ...]:
-    """`PatternSpec.arcs`: arc (ei, x, y) stands for each directed core edge
-    that an automorphism (an embedding of the core into itself keeping both
-    parts whole, or if `swaps` exchanging them) maps x -> y onto.  Arcs come
-    in edge order, forward first: a complete core's lie on its edge 0.
+def _core_symmetry(core: BipartiteGraph, ordered: bool) -> tuple[bool, tuple[tuple[int, int, int], ...]]:
+    """(`PatternSpec.swaps`, `PatternSpec.arcs`).  Swaps: does some
+    automorphism of the core (an embedding of the core into itself) exchange
+    its parts?  Only equal parts can, and it is probed once, with the parts'
+    masks reversed.  Arc (ei, x, y) stands for each directed core edge that
+    an automorphism (keeping both parts whole, or unless `ordered`
+    exchanging them) maps x -> y onto.  Arcs come in edge order, forward
+    first: a complete core's lie on its edge 0.
 
-    A complete core's arcs are written down without the search: its
+    A complete core's answers are written down without the search: its
     automorphisms permute each part freely, so every forward arc lies in
     the orbit of (0, m), every backward arc in that of (m, 0), and the
     two orbits are one exactly when the parts may swap."""
-    if core.edge_count and core.edge_count == core.m * core.n:
-        return ((0, 0, core.m),) if swaps else ((0, 0, core.m), (0, core.m, 0))
+    m = core.m
+    if core.edge_count and core.edge_count == m * core.n:
+        swaps = m == core.n
+        return swaps, ((0, 0, m),) if swaps and not ordered else ((0, 0, m), (0, m, 0))
     host = GraphHost.of(core)
-    keep = [host.left_mask] * core.m + [host.right_mask] * core.n
-    sides = [keep, keep[::-1]] if swaps else [keep]  # swaps come with equal parts
-    edges = tuple((a, core.m + b) for a, b in core.edges)
+    keep = [host.left_mask] * m + [host.right_mask] * core.n
+    edges = tuple((a, m + b) for a, b in core.edges)
+    flipped = keep[::-1]  # the parts' masks exchanged, when the parts are equal
+    probe = _embeddings(_embedding_plan(len(keep), edges, ()), flipped, host.adj)
+    swaps = m == core.n and next(probe, None) is not None
+    sides = [keep, flipped] if swaps and not ordered else [keep]
     directed = [(ei, x, y) for ei, (a, b) in enumerate(edges) for x, y in ((a, b), (b, a))]
     arcs, seen = [], set()
     for ei, rx, ry in directed:
         if (rx, ry) not in seen:
             arcs.append((ei, rx, ry))
+            plan = _embedding_plan(len(keep), edges, (min(rx, ry), max(rx, ry)))
             for _, x, y in directed:
-                pre = {rx: x, ry: y}
-                maps = (_iter_core_embeddings(len(keep), edges, allowed, host.adj, pre) for allowed in sides)
+                anchors = ((rx, x), (ry, y)) if rx < ry else ((ry, y), (rx, x))
+                maps = (_embeddings(plan, allowed, host.adj, anchors) for allowed in sides)
                 if any(next(it, None) for it in maps):
                     seen.add((x, y))
-    return tuple(arcs)
+    return swaps, tuple(arcs)
 
 
 @dataclass(frozen=True)
@@ -582,29 +603,16 @@ def _embedding_plan(
     return anchored_edges, tuple(steps)
 
 
-def _iter_core_embeddings(
-    core_n: int,
-    core_edges: tuple[tuple[int, int], ...],
-    allowed: list[int],
-    adj,
-    pre: dict[int, int] | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """All injective maps of an arbitrary core into a host adjacency.
+def _embeddings(plan, allowed: list[int], adj, anchors=()) -> Iterator[tuple[int, ...]]:
+    """All injective maps of a core into a host adjacency, by a plan from
+    `_embedding_plan`.
 
-    allowed[i] masks the host vertices permitted for core vertex i; pre fixes
-    anchored core vertices.  The placement plan comes from _embedding_plan;
-    a free vertex's candidates need host degree at least its core degree,
-    and the first free vertex's candidates are tried in ascending host
-    degree.
+    allowed[i] masks the host vertices permitted for core vertex i; anchors
+    holds the (core vertex, host vertex) pairs the plan's anchored vertices
+    are fixed to, in core vertex order.  A free vertex's candidates need
+    host degree at least its core degree, and the first free vertex's
+    candidates are tried in ascending host degree.
     """
-    anchors = tuple(sorted((pre or {}).items()))
-    plan = _embedding_plan(core_n, core_edges, tuple(cv for cv, _ in anchors))
-    return _planned_embeddings(plan, allowed, adj, anchors)
-
-
-def _planned_embeddings(plan, allowed: list[int], adj, anchors) -> Iterator[tuple[int, ...]]:
-    """`_iter_core_embeddings` once its plan is made: anchors holds the
-    (core vertex, host vertex) pairs of pre in core vertex order."""
     anchored_edges, steps = plan
     mapping = [-1] * len(allowed)
     used = 0
@@ -670,16 +678,21 @@ class GraphHost:
     """Adjacency bitmasks and part masks of a graph host, in combined labels.
 
     ``GraphHost(n)`` is an empty plain host (both part masks full) and
-    ``GraphHost(m, n)`` an empty bipartite one; ``GraphHost.of`` copies a
-    static `Graph` or `BipartiteGraph`.
+    ``GraphHost(m, n)`` an empty bipartite one (``has_parts`` set);
+    ``GraphHost.of`` copies a static `Graph` or `BipartiteGraph`.  The host
+    decides what a pattern may do on it: `admit` refuses a pattern of the
+    wrong kind or placement, `sides` lists the orientations its core may
+    take, and `can_hold` counts whether its parts have room for a copy.
     """
 
-    __slots__ = ("adj", "left_mask", "right_mask")
+    __slots__ = ("adj", "left_mask", "right_mask", "has_parts")
+    rank = 2
 
     def __init__(self, m: int, n: int | None = None):
         self.adj = [0] * (m if n is None else m + n)
         self.left_mask = (1 << m) - 1
         self.right_mask = self.left_mask if n is None else ((1 << n) - 1) << m
+        self.has_parts = n is not None
 
     @classmethod
     def of(cls, g: Graph | BipartiteGraph) -> "GraphHost":
@@ -701,6 +714,36 @@ class GraphHost:
         u, v = e
         self.adj[u] &= ~(1 << v)
         self.adj[v] &= ~(1 << u)
+
+    def admit(self, spec: PatternSpec) -> None:
+        """Raise ValueError unless the pattern fits this host: an expansion
+        exactly when the host is a 3-graph, and a placement other than
+        unordered only on a host with parts.  Every finder, check and solve
+        asks this first, before `can_hold` may answer for it."""
+        if spec.expansion != (self.rank == 3):
+            kind = "expansion" if spec.expansion else "graph"
+            raise ValueError(f"{kind} pattern against a {'3-graph' if self.rank == 3 else 'graph'} host")
+        if spec.placement != "unordered" and not self.has_parts:
+            raise ValueError(f"placement {spec.placement!r} needs a host with parts")
+
+    def sides(self, spec: PatternSpec) -> tuple[tuple[int, int], ...]:
+        """Host masks (for the core's first part, for its second), one pair
+        per orientation the core may take, in the order the searches try.
+
+            ordered      first part left, second right
+            core-in-V1   both parts left
+            unordered    anywhere on a host without parts or a 3-graph host,
+                         whose shadow pairs lie inside the left part too;
+                         on a bipartite host both orientations, left first
+        """
+        left, right = self.left_mask, self.right_mask
+        if spec.placement == "core-in-V1":
+            return ((left, left),)
+        if spec.placement == "unordered" and self.has_parts:
+            if self.rank == 3:
+                return ((left | right, left | right),)
+            return ((left, right), (right, left))
+        return ((left, right),)
 
     def can_hold(self, spec: PatternSpec) -> bool:
         """Do the host's parts have room for one copy of the pattern?
@@ -743,12 +786,12 @@ class ThreeGraphHost(GraphHost):
     `ThreeGraph` or a `SemibipartiteThreeGraph` (``has_parts`` set).
     """
 
-    __slots__ = ("pair_link", "has_parts")
+    __slots__ = ("pair_link",)
+    rank = 3
 
     def __init__(self, m: int, n: int | None = None):
         super().__init__(m, n)
         self.pair_link: dict[tuple[int, int], int] = {}
-        self.has_parts = n is not None
 
     @classmethod
     def of(cls, h: ThreeGraph | SemibipartiteThreeGraph) -> "ThreeGraphHost":
@@ -788,17 +831,6 @@ class ThreeGraphHost(GraphHost):
                 adj[x] &= ~(1 << y)
                 adj[y] &= ~(1 << x)
 
-    def placement_masks(self, spec: PatternSpec) -> tuple[int, int]:
-        """Host vertices allowed for the core's (first, second) part."""
-        if spec.placement == "unordered":
-            full = self.left_mask | self.right_mask
-            return full, full
-        if not self.has_parts:
-            raise ValueError(f"placement {spec.placement!r} needs a semibipartite host")
-        if spec.placement == "ordered":
-            return self.left_mask, self.right_mask
-        return self.left_mask, self.left_mask  # core-in-V1
-
 
 _last_static: tuple = (None, None)
 
@@ -824,17 +856,8 @@ def _iter_pattern_embeddings(spec: PatternSpec, adj, lm: int, rm: int) -> Iterat
         for a, b in iter_kst(adj, core.m, core.n, lm, rm):
             yield a + b
     else:
-        allowed = [lm] * core.m + [rm] * core.n
-        yield from _iter_core_embeddings(core.m + core.n, spec.combined_edges, allowed, adj)
-
-
-def _side_masks(spec: PatternSpec, left_mask: int, right_mask: int) -> tuple[tuple[int, int], ...]:
-    """Host masks (for the core's first part, for its second) to try: both
-    orientations for unordered placement with distinct part masks, one
-    otherwise."""
-    if spec.placement != "unordered" or left_mask == right_mask:
-        return ((left_mask, right_mask),)
-    return ((left_mask, right_mask), (right_mask, left_mask))
+        plan = _embedding_plan(core.m + core.n, spec.combined_edges, ())
+        yield from _embeddings(plan, [lm] * core.m + [rm] * core.n, adj)
 
 
 # -- public searches --
@@ -846,41 +869,39 @@ def find_in_graph(g: Graph, spec: PatternSpec) -> EmbeddingWitness | None:
     A host with fewer vertices than the pattern is answered None without a
     search.
     """
-    if spec.expansion:
-        raise ValueError("expansion pattern against a graph host")
-    if spec.placement != "unordered":
-        raise ValueError("placement constraints need a host with parts")
-    return _first_copy(GraphHost.of(g), spec)
+    return _first_copy(GraphHost.of(g), spec, EmbeddingWitness)
 
 
 def find_ordered_bipartite(g: BipartiteGraph, spec: PatternSpec) -> EmbeddingWitness | None:
     """First copy of a graph pattern in a bipartite host, or None.
 
     placement=ordered keeps the core's first part on the host's left side;
-    unordered tries both orientations in turn, that one first, and returns
-    the first copy found.  Witness labels are combined (right part shifted
-    by g.m).  A host whose parts cannot hold the pattern
-    (`GraphHost.can_hold`: for ordered placement, core.m left and core.n
-    right vertices) is answered None without a search.
+    unordered tries the orientations `GraphHost.sides` gives in turn, that
+    one first, and returns the first copy found.  Witness labels are
+    combined (right part shifted by g.m).  A host whose parts cannot hold
+    the pattern (`GraphHost.can_hold`: for ordered placement, core.m left
+    and core.n right vertices) is answered None without a search.
     """
-    if spec.expansion:
-        raise ValueError("expansion pattern against a bipartite graph host")
-    if spec.placement == "core-in-V1":
-        raise ValueError("core-in-V1 placement applies to semibipartite hosts")
-    return _first_copy(GraphHost.of(g), spec)
+    return _first_copy(GraphHost.of(g), spec, EmbeddingWitness)
 
 
-def _first_copy(host: GraphHost, spec: PatternSpec) -> EmbeddingWitness | None:
-    """The first copy over the orientations of `_side_masks`, tried in
-    order.  When some automorphism of the core exchanges its parts, a copy
-    in the second orientation composed with it is one in the first, so only
-    a copy-free host reaches the second."""
+def _first_copy(host: GraphHost, spec: PatternSpec, complete: Callable):
+    """The first core embedding that complete(core_map) makes a witness of,
+    over the orientations of `host.sides` in order, or None, once the host
+    has admitted the pattern.  A core with a part-exchanging automorphism
+    (`PatternSpec.swaps`) is searched in the first orientation alone: the
+    map carries a copy in the second onto one in the first with the same
+    image.  (An anchored check needs both: an arc may lead from the second
+    part.)
+    """
+    host.admit(spec)
     if not host.can_hold(spec):
         return None
-    for lm, rm in _side_masks(spec, host.left_mask, host.right_mask):
-        emb = next(_iter_pattern_embeddings(spec, host.adj, lm, rm), None)
-        if emb is not None:
-            return EmbeddingWitness(emb)
+    for lm, rm in host.sides(spec)[: 1 if spec.swaps else 2]:
+        for emb in _iter_pattern_embeddings(spec, host.adj, lm, rm):
+            witness = complete(emb)
+            if witness is not None:
+                return witness
     return None
 
 
@@ -925,70 +946,55 @@ def find_expansion(
 ) -> ExpansionWitness | None:
     """First expansion copy in a 3-graph host, or None.
 
-    Core embeddings are enumerated in the shadow; each is completed by a
-    maximum matching between core edges and distinct eligible apexes, so a
-    core whose edges would have to share an apex is (correctly) rejected.
-    Shadow and pair links come from the one-entry, read-only index of
-    `_static_host`, which a caller's next question about the same host
-    reuses.
+    Core embeddings are enumerated in the shadow, over the orientations
+    `GraphHost.sides` gives; each is completed by a maximum matching between
+    core edges and distinct eligible apexes, so a core whose edges would
+    have to share an apex is (correctly) rejected.  Shadow and pair links
+    come from the one-entry, read-only index of `_static_host`, which a
+    caller's next question about the same host reuses.
 
-    A host whose parts cannot hold the expansion is answered None without
-    a search (`GraphHost.can_hold`).  Each apex is distinct and outside the
-    core, and on a semibipartite host it sits on the left for a core pair
-    that crosses the parts, on the right for one inside the left part.  So
-    an ordered copy needs core.m + |F| left and core.n right vertices, a
-    core-in-V1 copy core.m + core.n left and |F| right, and any other
-    v(F) + |F| vertices in all.  That only counts vertices, so the answer
-    is exact: an ordered K{2,2}+, say, needs 6 left vertices.
+    A host whose parts cannot hold the expansion (`GraphHost.can_hold`
+    counts the core's vertices and one distinct apex per core edge: an
+    ordered K{2,2}+, say, needs 6 left vertices) is answered None without a
+    search, exactly.
     """
-    if not spec.expansion:
-        raise ValueError("graph pattern against a 3-graph host")
     host = _static_host(h)
-    lm, rm = host.placement_masks(spec)
-    if not host.can_hold(spec):
-        return None
-    combined_edges = spec.combined_edges
-    for emb in _iter_pattern_embeddings(spec, host.adj, lm, rm):
-        witness = _try_apex_match(emb, combined_edges, host.pair_link)
-        if witness is not None:
-            return witness
-    return None
+    combined_edges, pair_link = spec.combined_edges, host.pair_link
+    return _first_copy(host, spec, lambda emb: _try_apex_match(emb, combined_edges, pair_link))
 
 
 def iter_graph_embeddings(g: Graph, spec: PatternSpec) -> Iterator[tuple[int, ...]]:
     """Every injective embedding of the core into a plain graph host."""
-    if spec.expansion:
-        raise ValueError("expansion pattern against a graph host")
-    core = spec.core
-    full = (1 << g.n) - 1
-    allowed = [full] * (core.m + core.n)
-    yield from _iter_core_embeddings(core.m + core.n, spec.combined_edges, allowed, list(g.adj))
+    host = GraphHost.of(g)
+    host.admit(spec)
+    k = spec.vertex_count
+    return _embeddings(_embedding_plan(k, spec.combined_edges, ()), [host.left_mask] * k, host.adj)
 
 
 # -- solver-facing incremental checks --
 
 
-def _kst_anchors(spec: PatternSpec, left_mask: int, right_mask: int) -> tuple[tuple, ...]:
-    """A complete core's anchored K{s,t} tests on a host with these part
-    masks, one per orientation the placement allows and per arc: (s - 1,
+def _kst_anchors(spec: PatternSpec, host: GraphHost) -> tuple[tuple, ...]:
+    """A complete core's anchored K{s,t} tests on this host, one per
+    orientation of `host.sides` and per arc: (s - 1,
     t - 1, first-part mask, second-part mask, does u lead the s-side).  An
     arc of a complete core lies on edge 0, from core vertex 0 to s or back,
     so on the host pair (u, v) u leads the copy's s-side or its t-side."""
     s, t = spec.core.m, spec.core.n
     return tuple(
         (s - 1, t - 1, lm, rm, x < s)
-        for lm, rm in _side_masks(spec, left_mask, right_mask)
+        for lm, rm in host.sides(spec)
         for _, x, _ in spec.arcs
     )
 
 
-def _plan_through_pair(spec: PatternSpec, left_mask: int, right_mask: int):
-    """Plan the anchored check of one spec on a host with these part masks.
+def _plan_through_pair(spec: PatternSpec, host: GraphHost):
+    """Plan the anchored check of one spec on this host's part masks.
 
     Returns through(adj, u, v, avoid, accept): does accept(core_map, core
     edge index) take some copy of the core with a core edge on the host
     pair (u, v)?  Without accept any copy counts; host vertices in the
-    avoid mask stay unused.  The orientations the placement allows, the
+    avoid mask stay unused.  The orientations `host.sides` gives, the
     spec's `arcs` and, for a core that is not complete, each arc's
     embedding plan are fixed here, once.
 
@@ -1004,7 +1010,7 @@ def _plan_through_pair(spec: PatternSpec, left_mask: int, right_mask: int):
     """
     s, t = spec.core.m, spec.core.n
     if spec.is_complete:
-        anchors = _kst_anchors(spec, left_mask, right_mask)
+        anchors = _kst_anchors(spec, host)
 
         def through(adj, u, v, avoid=0, accept=None):
             kst_accept = None if accept is None else (lambda s_side, t_side: accept(s_side + t_side, 0))
@@ -1023,14 +1029,14 @@ def _plan_through_pair(spec: PatternSpec, left_mask: int, right_mask: int):
         for ei, x, y in spec.arcs
     )
     # every core edge runs from the first part (lm) to the second (rm)
-    sides = _side_masks(spec, left_mask, right_mask)
+    sides = host.sides(spec)
 
     def through(adj, u, v, avoid=0, accept=None):
         for lm, rm in sides:
             allowed = [lm & ~avoid] * s + [rm & ~avoid] * t
             for ei, x, y, plan in plans:
-                pre = ((x, u), (y, v)) if x < y else ((y, v), (x, u))
-                for emb in _planned_embeddings(plan, allowed, adj, pre):
+                anchors = ((x, u), (y, v)) if x < y else ((y, v), (x, u))
+                for emb in _embeddings(plan, allowed, adj, anchors):
                     if accept is None or accept(emb, ei):
                         return True
         return False
@@ -1046,7 +1052,7 @@ def _plan_through_triple(spec: PatternSpec, host: ThreeGraphHost):
     its third vertex), so the check anchors each decomposition in turn,
     keeps the apex out of the core and forces it onto the anchored edge.
     """
-    through = _plan_through_pair(spec, *host.placement_masks(spec))
+    through = _plan_through_pair(spec, host)
     adj, pair_link = host.adj, host.pair_link
     combined_edges = spec.combined_edges
 
@@ -1064,17 +1070,17 @@ def _plan_through_triple(spec: PatternSpec, host: ThreeGraphHost):
 
 def pattern_through_edge(host: GraphHost, spec: PatternSpec, u: int, v: int) -> bool:
     """Does some copy of the pattern use host edge (u, v)?  The host holds it."""
+    host.admit(spec)
     if not host.adj[u] >> v & 1:
         return False
-    return _plan_through_pair(spec, host.left_mask, host.right_mask)(host.adj, u, v)
+    return _plan_through_pair(spec, host)(host.adj, u, v)
 
 
 def expansion_through_triple(
     host: ThreeGraphHost, spec: PatternSpec, triple: tuple[int, int, int]
 ) -> bool:
     """Does some expansion copy use the given host triple?  The host holds it."""
-    if not spec.expansion:
-        raise ValueError("graph pattern against a 3-graph host")
+    host.admit(spec)
     return _plan_through_triple(spec, host)(triple)
 
 
@@ -1084,9 +1090,10 @@ def plan_take(host: GraphHost, specs) -> Callable[[tuple], bool]:
     returns True unless it completes a copy of some spec, in which case the
     host is left as it was and it returns False.
 
-    Specs the host's parts cannot hold are dropped first, and each kept
-    spec's check is planned here, once per host, as `pattern_through_edge`
-    and `expansion_through_triple` plan theirs on every call.  At rank 2 a
+    The host admits every spec first (`GraphHost.admit` raises ValueError),
+    then specs its parts cannot hold are dropped, and each kept spec's check
+    is planned here, once per host, as `pattern_through_edge` and
+    `expansion_through_triple` plan theirs on every call.  At rank 2 a
     complete core's test runs inline, before the edge is added, anchor by
     anchor (`_kst_anchors`), as `kst_through` without accept would: the
     intersection is N(ha) in the t-side mask and the pool N(hb) in the
@@ -1096,10 +1103,14 @@ def plan_take(host: GraphHost, specs) -> Callable[[tuple], bool]:
     recursion `_kst_through_from` directly.  A hit costs no add and no
     remove; every other check runs on the host holding the new edge.
     """
-    specs = [s for s in specs if host.can_hold(s)]
+    kept = []
+    for spec in specs:
+        host.admit(spec)
+        if host.can_hold(spec):
+            kept.append(spec)
     add, remove = host.add, host.remove
-    if isinstance(host, ThreeGraphHost):
-        hits = tuple(_plan_through_triple(s, host) for s in specs)
+    if host.rank == 3:
+        hits = tuple(_plan_through_triple(s, host) for s in kept)
 
         def take(t):
             add(t)
@@ -1111,9 +1122,9 @@ def plan_take(host: GraphHost, specs) -> Callable[[tuple], bool]:
 
         return take
 
-    adj, lm, rm = host.adj, host.left_mask, host.right_mask
-    anchors = tuple(a for s in specs if s.is_complete for a in _kst_anchors(s, lm, rm))
-    after = tuple(_plan_through_pair(s, lm, rm) for s in specs if not s.is_complete)
+    adj = host.adj
+    anchors = tuple(a for s in kept if s.is_complete for a in _kst_anchors(s, host))
+    after = tuple(_plan_through_pair(s, host) for s in kept if not s.is_complete)
 
     def take(e):
         u, v = e

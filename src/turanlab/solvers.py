@@ -11,12 +11,13 @@ small enough for exhaustive reasoning.  Three entry points set it up:
 * ``z_expansion_exact``: semibipartite 3-graph hosts avoiding one ordered
   expansion pattern and one core-in-V1 expansion pattern simultaneously.
 
-Each entry point hands the engine its lexicographic edge universe, the
-vertices whose degree each edge raises, and the step `plan_take` builds for
-an empty `turanlab.patterns` host (``GraphHost`` at rank 2,
-``ThreeGraphHost`` at rank 3): take(e) adds an edge unless it completes a
-forbidden pattern, and the host's ``remove`` takes it out again; the host's
-layout stays inside `turanlab.patterns`.  The engine walks the universe
+Each entry point checks its own arguments and caps, then hands one shared
+tail, `_solve`, an empty `turanlab.patterns` host (``GraphHost`` at rank
+2, ``ThreeGraphHost`` at rank 3), its lexicographic edge universe, the
+vertices whose degree each edge raises, and the witness type with its
+finder.  The tail runs the engine with the step `plan_take` builds for the
+host: take(e) adds an edge unless it completes a forbidden pattern, and the
+host's ``remove`` takes it out again.  The engine walks the universe
 depth first, in one loop over an explicit stack of decided edges rather
 than by recursion, trying inclusion before exclusion, and prunes a branch
 when (i) the new edge completes a forbidden pattern, (ii) the incumbent
@@ -41,8 +42,8 @@ a's final degree, which is at most deg[u] and at most deg[a] plus a's
 remaining edges.  Because inclusion is tried first and the incumbent is replaced
 only on strict improvement, the reported witness is the lexicographically
 smallest optimal edge set among the hosts the symmetry-reduced search
-visits.  Every witness is re-verified against the full pattern finders
-before being returned.
+visits.  Every witness is re-verified against the full pattern finders,
+in `_solve`, before being returned.
 
 Rule (i) is the hot path: one planned check per tested edge, the anchored
 check of `turanlab.patterns` with its masks, arcs and embedding plans
@@ -52,16 +53,12 @@ C6).  At rank 2, take runs a complete core's K{s,t} test inline, for
 s = 2 (C4, K{2,t}) as a flat loop over the pool with no call;
 `pattern_through_edge` and `expansion_through_triple` are the per-call
 reference paths the differential tests check take against, not the code
-the solvers run.  Before the search,
-`plan_take` drops the patterns the host's parts cannot hold
-(`GraphHost.can_hold`), so (i) never asks about them.  The apexes of an
-expansion are distinct and lie outside its core, and every triple of a
-semibipartite host has two left vertices and one right, so an ordered copy
-needs core.m + |F| left vertices and a core-in-V1 copy |F| right ones; any
-copy needs v(F) + |F| vertices in all.  A pattern that fails these counts
-has no copy in any host with those parts, so (i) would answer false on
-every edge: dropping it keeps every decision, node count and witness.  An
-ordered K{2,2}+, for one, needs 6 left vertices, more than any
+the solvers run.  Before the search, the host admits every pattern
+(`GraphHost.admit`: one of the wrong kind or placement raises ValueError),
+and `plan_take` drops the patterns the host's parts cannot hold
+(`GraphHost.can_hold`), which (i) would answer false on every edge, so
+every decision, node count and witness stays the same.  An ordered
+K{2,2}+, for one, needs 6 left vertices, more than any
 ``z_expansion_exact`` host up to the side cap has.
 
 ``eval_bound`` evaluates the closed-form upper bounds that accompany the
@@ -75,7 +72,9 @@ does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
+from math import comb
 from operator import add
 from typing import Callable, Sequence
 
@@ -130,19 +129,10 @@ class SolveResult:
         }
 
 
-def _recheck(witness, best: int, find, specs) -> None:
-    """Raise unless `find` sees no pattern in the witness, of `best` edges."""
-    if any(find(witness, s) is not None for s in specs):
-        raise InvariantViolationError("witness failed the independent freeness re-check")
-    if witness.edge_count != best:
-        raise InvariantViolationError("witness edge count disagrees with the solve value")
-
-
 def _branch_and_bound(
     universe: Sequence[tuple],
     raises: Sequence[tuple[int, ...]],
     nv_deg: int,
-    divisor: int,
     symmetry: bool,
     take: Callable[[tuple], bool],
     remove: Callable[[tuple], None],
@@ -156,8 +146,8 @@ def _branch_and_bound(
     returns whether it did, and ``remove`` takes an included edge out again
     on backtracking.
     ``raises[i]`` lists the degree-tracked vertices (labels below
-    ``nv_deg``) whose degree edge i raises; every edge raises exactly
-    ``divisor`` of them, so tracked degrees sum to ``divisor * |E|``.  A
+    ``nv_deg``) whose degree edge i raises; every edge raises the same
+    number of them, the divisor, so tracked degrees sum to divisor * |E|.  A
     vertex's degree is final one past the last edge that raises it; with
     ``symmetry`` set, a branch is cut there when that degree exceeds its
     predecessor's, so every surviving leaf has non-increasing degrees over
@@ -202,6 +192,7 @@ def _branch_and_bound(
     nodes entered); best is -1 when no leaf is feasible.
     """
     L = len(universe)
+    divisor = len(raises[0]) if raises else 1
     final_at: dict[int, int] = {}
     for i, vs in enumerate(raises):
         for x in vs:
@@ -319,6 +310,34 @@ def _branch_and_bound(
         i += 1
 
 
+def _solve(host, specs, cells, raises, build, find, symmetry, floor=None, row_width=0) -> SolveResult:
+    """The tail every entry point shares: the engine on the empty host, the
+    witness, and its independent re-check.
+
+    ``cells`` is the edge universe in the witness's labels, in which a host
+    with parts numbers its right part from 0 too: the host's label of a
+    cell's last, right-part vertex is shifted by the left part's size.
+    ``raises[i]`` lists the degree-tracked vertices of cell i, which lie in
+    the host's left part (all of a host without parts).  The best cells
+    found become the witness build(cells); it must have as many edges as
+    the solve's value, and `find` must see no spec in it.
+    """
+    tracked = host.left_mask.bit_length()
+    shift = tracked if host.has_parts else 0
+    universe = [(*cell[:-1], cell[-1] + shift) for cell in cells]
+    best, chosen, nodes = _branch_and_bound(
+        universe, raises, tracked, symmetry, plan_take(host, specs), host.remove, floor, row_width
+    )
+    if best < 0:
+        return SolveResult(0, None, nodes)
+    witness = build([cells[i] for i in chosen])
+    if any(find(witness, s) is not None for s in specs):
+        raise InvariantViolationError("witness failed the independent freeness re-check")
+    if witness.edge_count != best:
+        raise InvariantViolationError("witness edge count disagrees with the solve value")
+    return SolveResult(best, witness, nodes)
+
+
 def ex_exact(
     n: int,
     patterns: PatternSpec | Sequence[PatternSpec],
@@ -330,10 +349,12 @@ def ex_exact(
 
     ``patterns`` is a single spec or a sequence; every listed pattern is
     forbidden.  ``host_kind`` selects plain graphs or 3-uniform hosts; the
-    latter take expansion patterns.  With ``degree_floor`` set, only hosts
-    whose maximum degree is at least the floor are feasible.  A floor no
-    host on n vertices can meet raises ValueError; a floor that merely
-    conflicts with the patterns yields value 0 and witness None.
+    latter take expansion patterns, and neither has parts, so every
+    pattern's placement must be unordered (`GraphHost.admit`).  With
+    ``degree_floor`` set, only hosts whose maximum degree is at least the
+    floor are feasible.  A floor no host on n vertices can meet raises
+    ValueError; a floor that merely conflicts with the patterns yields
+    value 0 and witness None.
     """
     specs = normalize_specs(patterns)
     if n < 0:
@@ -341,33 +362,18 @@ def ex_exact(
     if host_kind == "graph":
         if n > MAX_EX_GRAPH_VERTICES:
             raise CapExceededError(f"graph solver capped at n <= {MAX_EX_GRAPH_VERTICES}")
-        for spec in specs:
-            if spec.expansion:
-                raise ValueError("expansion pattern against a graph host")
-            if spec.placement != "unordered":
-                raise ValueError("graph hosts have no parts; use unordered placement")
-        rank = 2
-        max_degree = max(n - 1, 0)
-        host = GraphHost(n)
-        build, find = Graph, find_in_graph
+        host, build, find = GraphHost(n), Graph, find_in_graph
     elif host_kind == "3graph":
         if n > MAX_EX_THREE_VERTICES:
             raise CapExceededError(f"3-graph solver capped at n <= {MAX_EX_THREE_VERTICES}")
-        for spec in specs:
-            if not spec.expansion:
-                raise ValueError("graph pattern against a 3-graph host")
-            if spec.placement != "unordered":
-                raise ValueError("3-graph hosts have no parts; use unordered placement")
-        rank = 3
-        max_degree = (n - 1) * (n - 2) // 2 if n >= 2 else 0
-        host = ThreeGraphHost(n)
-        build, find = ThreeGraph, find_expansion
+        host, build, find = ThreeGraphHost(n), ThreeGraph, find_expansion
     else:
         raise ValueError(f"unknown host kind {host_kind!r}")
 
     floor = None
     if degree_floor is not None:
         floor = int(degree_floor)
+        max_degree = comb(max(n - 1, 0), host.rank - 1)
         if floor < 0:
             raise ValueError("degree floor must be >= 0")
         if floor > max_degree:
@@ -377,16 +383,8 @@ def ex_exact(
         if floor == 0:
             floor = None
 
-    universe = list(combinations(range(n), rank))
-    best, chosen, nodes = _branch_and_bound(
-        universe, universe, n, rank, symmetry, plan_take(host, specs), host.remove, floor
-    )
-
-    if best < 0:
-        return SolveResult(0, None, nodes)
-    witness = build(n, [universe[i] for i in chosen])
-    _recheck(witness, best, find, specs)
-    return SolveResult(best, witness, nodes)
+    cells = list(combinations(range(n), host.rank))
+    return _solve(host, specs, cells, cells, partial(build, n), find, symmetry, floor)
 
 
 def z_exact(
@@ -397,30 +395,21 @@ def z_exact(
 ) -> SolveResult:
     """Exact maximum edges of a pattern-free bipartite host with parts (m, n).
 
-    Patterns must be plain graph patterns.  Ordered placement pins a
-    pattern's left part to the host's left part; unordered forbids both
-    orientations.
+    Patterns must be plain graph patterns (`GraphHost.admit`).  Ordered
+    placement pins a pattern's left part to the host's left part; unordered
+    forbids both orientations.
     """
     specs = normalize_specs(patterns)
     if m < 0 or n < 0:
         raise ValueError("part sizes must be >= 0")
     if m * n > MAX_Z_CELLS:
         raise CapExceededError(f"bipartite solver capped at m*n <= {MAX_Z_CELLS}")
-    for spec in specs:
-        if spec.expansion:
-            raise ValueError("expansion pattern against a bipartite host")
 
-    # host labels put the right part after the left; only left degrees are tracked
     cells = [(u, w) for u in range(m) for w in range(n)]
-    host = GraphHost(m, n)
-    best, chosen, nodes = _branch_and_bound(
-        [(u, m + w) for u, w in cells], [(u,) for u, _ in cells], m, 1, symmetry,
-        plan_take(host, specs), host.remove, row_width=n,
+    return _solve(
+        GraphHost(m, n), specs, cells, [(u,) for u, _ in cells], partial(BipartiteGraph, m, n),
+        find_ordered_bipartite, symmetry, row_width=n,
     )
-
-    witness = BipartiteGraph(m, n, [cells[i] for i in chosen])
-    _recheck(witness, best, find_ordered_bipartite, specs)
-    return SolveResult(best, witness, nodes)
 
 
 def z_expansion_exact(
@@ -446,19 +435,12 @@ def z_expansion_exact(
         raise CapExceededError(
             f"semibipartite solver capped at parts <= {MAX_Z_EXPANSION_SIDE}"
         )
-    specs = (ordered_pattern, core_in_v1_pattern)
 
-    # host labels put the right part after the left; only left degrees are tracked
     cells = [(u, v, w) for u, v in combinations(range(m), 2) for w in range(n)]
-    host = ThreeGraphHost(m, n)
-    best, chosen, nodes = _branch_and_bound(
-        [(u, v, m + w) for u, v, w in cells], [(u, v) for u, v, _ in cells], m, 2, symmetry,
-        plan_take(host, specs), host.remove, row_width=n,
+    return _solve(
+        ThreeGraphHost(m, n), (ordered_pattern, core_in_v1_pattern), cells, [(u, v) for u, v, _ in cells],
+        partial(SemibipartiteThreeGraph, m, n), find_expansion, symmetry, row_width=n,
     )
-
-    witness = SemibipartiteThreeGraph(m, n, [cells[i] for i in chosen])
-    _recheck(witness, best, find_expansion, specs)
-    return SolveResult(best, witness, nodes)
 
 
 # -- closed-form bound evaluation --

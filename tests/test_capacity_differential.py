@@ -22,7 +22,7 @@ check `expansion_through_triple` on the host's triples.
 import itertools
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_patterns import _brute_expansion
@@ -123,12 +123,7 @@ def _excluded_case(draw):
     return spec, SemibipartiteThreeGraph(m, n, edges), (m, n)
 
 
-@settings(
-    max_examples=150,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
+@settings(max_examples=150)
 @given(_excluded_case())
 def test_sparse_hosts_hold_no_copy_the_rule_excludes(case):
     spec, h, sides = case

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from turanlab import cli
+from turanlab import cli, solvers
 from turanlab.cli import JobSpec, dispatch, main
 from turanlab.hypergraph import from_json_dict, dumps_canonical, from_graph6
 
@@ -72,6 +72,17 @@ class TestSolve:
     def test_bad_pattern_exit_code(self):
         code, _, _ = run_cli("solve", "ex", "--n", "5", "--pattern", "Q7")
         assert code == 2
+
+    def test_ordered_pattern_on_a_plain_host_exits_2(self, capsys, monkeypatch):
+        # n = 3 cannot hold C4 at all; the placement is refused all the same,
+        # before the search (the re-check's finder, which would refuse it
+        # after, is kept out of the way)
+        monkeypatch.setattr(solvers, "find_in_graph", lambda host, spec: None)
+        assert main(["solve", "ex", "--n", "3", "--pattern", "C4 ordered"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        status = json.loads(captured.err.strip().splitlines()[-1])
+        assert status["exit"] == 2 and "needs a host with parts" in status["error"]
 
 
 class TestConstruct:

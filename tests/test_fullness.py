@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turanlab.fullness import (
@@ -218,12 +218,7 @@ def _hosts_and_specs(draw):
     return h, FullnessSpec(tuple(groups), size)
 
 
-@settings(
-    max_examples=300,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
+@settings(max_examples=300)
 @given(_hosts_and_specs())
 def test_extract_full_and_is_full_match_the_definition(case):
     h, spec = case

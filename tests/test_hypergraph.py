@@ -265,10 +265,7 @@ _EDGE_POOLS = {
     ),
 }
 
-_drawn = settings(
-    max_examples=60, derandomize=True, deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+_drawn = settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 
 
 def _draw_host(data, cls):

@@ -20,20 +20,11 @@ has a column below its first s-side vertex.
 
 import itertools
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turanlab.hypergraph import BipartiteGraph, Graph
 from turanlab.patterns import first_kst, iter_kst, kst_through
-
-
-def _settings(examples):
-    return settings(
-        max_examples=examples,
-        derandomize=True,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-    )
 
 
 def _bits(mask, width):
@@ -155,7 +146,7 @@ def _anchored_cases(draw):
     return list(Graph(g.n, edges).adj), s, t, left_mask, right_mask, (ha, hb)
 
 
-@_settings(400)
+@settings(max_examples=400)
 @given(_one_sided_cases())
 def test_whole_host_kst_on_one_sided_rows_matches_reference(case):
     adj, s, t, left_mask, right_mask = case
@@ -163,7 +154,7 @@ def test_whole_host_kst_on_one_sided_rows_matches_reference(case):
     assert got == list(_reference_kst(adj, s, t, left_mask, right_mask))
 
 
-@_settings(300)
+@settings(max_examples=300)
 @given(_graph_cases())
 def test_whole_host_kst_on_graphs_matches_reference(case):
     adj, s, t, left_mask, right_mask = case
@@ -175,13 +166,13 @@ def _first_of_reference(adj, s, t, left_mask, right_mask):
     return next(_reference_kst(adj, s, t, left_mask, right_mask), None)
 
 
-@_settings(400)
+@settings(max_examples=400)
 @given(_swap_closed_cases())
 def test_first_kst_on_swap_closed_hosts_matches_reference(case):
     assert first_kst(*case) == _first_of_reference(*case)
 
 
-@_settings(300)
+@settings(max_examples=300)
 @given(st.one_of(_one_sided_cases(), _graph_cases()))
 # each breaks one part of the condition, and its first copy has a column
 # below its first s-side vertex: a row that is its own column, a column
@@ -206,7 +197,7 @@ def _offered(adj, s, t, left_mask, right_mask, anchor, take_at=None):
     return kst_through(adj, s, t, left_mask, right_mask, anchor, accept), offered
 
 
-@_settings(400)
+@settings(max_examples=400)
 @given(_anchored_cases())
 def test_anchored_kst_on_graphs_matches_reference(case):
     adj, s, t, left_mask, right_mask, (ha, hb) = case
@@ -215,7 +206,7 @@ def test_anchored_kst_on_graphs_matches_reference(case):
     assert kst_through(adj, s, t, left_mask, right_mask, (ha, hb)) == bool(want)
 
 
-@_settings(200)
+@settings(max_examples=200)
 @given(_anchored_cases(), st.integers(1, 6))
 def test_anchored_kst_stops_at_the_accepted_copy(case, k):
     adj, s, t, left_mask, right_mask, (ha, hb) = case

@@ -51,8 +51,7 @@ def _orbits(n, maps):
     return len({root(v) for v in range(n)})
 
 
-@settings(max_examples=300, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(
     n=st.integers(2, 13),
     data=st.data(),

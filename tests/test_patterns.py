@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turanlab.constructions import norm_graph
@@ -380,6 +380,45 @@ def test_host_kind_mismatches():
         find_ordered_bipartite(BipartiteGraph(2, 2, []), complete_bipartite(1, 1, True))
     with pytest.raises(ValueError):
         find_expansion(ThreeGraph(3, []), complete_bipartite(1, 1))
+    # hosts too small to hold a copy refuse the pattern all the same
+    small = Graph(3, [(0, 1)])
+    with pytest.raises(ValueError, match="needs a host with parts"):
+        find_in_graph(small, even_cycle(4, placement="ordered"))
+    with pytest.raises(ValueError, match="needs a host with parts"):
+        list(iter_graph_embeddings(small, even_cycle(4, placement="ordered")))
+    with pytest.raises(ValueError, match="expansion pattern"):
+        find_ordered_bipartite(BipartiteGraph(1, 1, [(0, 0)]), complete_bipartite(2, 2, True))
+    with pytest.raises(ValueError, match="graph pattern"):
+        find_expansion(SemibipartiteThreeGraph(2, 1, [(0, 1, 0)]), complete_bipartite(2, 2))
+
+
+@pytest.mark.parametrize("placement", ["ordered", "core-in-V1"])
+def test_plain_3graph_hosts_refuse_placements_before_counting(placement):
+    # a 3-vertex host cannot hold a K{2,2}+ copy, so a capacity count run
+    # first would answer None (or drop the pattern) without a word
+    spec = complete_bipartite(2, 2, True, placement)
+    host = ThreeGraphHost(3)
+    host.add((0, 1, 2))
+    assert not host.can_hold(spec)
+    with pytest.raises(ValueError, match="needs a host with parts"):
+        find_expansion(ThreeGraph(3, [(0, 1, 2)]), spec)
+    with pytest.raises(ValueError, match="needs a host with parts"):
+        expansion_through_triple(host, spec, (0, 1, 2))
+
+
+def test_sides_follow_placement():
+    # both orientations even for a part-swapping core: an anchored check's
+    # arc may lead from the second part to the first
+    left, right = 0b000111, 0b111000
+    bipartite = GraphHost(3, 3)
+    assert bipartite.sides(even_cycle(6)) == ((left, right), (right, left))
+    assert bipartite.sides(complete_bipartite(2, 3)) == ((left, right), (right, left))
+    assert bipartite.sides(complete_bipartite(2, 3, placement="ordered")) == ((left, right),)
+    semi = ThreeGraphHost(3, 3)
+    assert semi.sides(complete_bipartite(2, 3, True)) == ((left | right, left | right),)
+    assert semi.sides(complete_bipartite(2, 3, True, "ordered")) == ((left, right),)
+    assert semi.sides(complete_bipartite(2, 3, True, "core-in-V1")) == ((left, left),)
+    assert GraphHost(4).sides(complete_bipartite(2, 3)) == ((0xF, 0xF),)
 
 
 def test_iter_graph_embeddings_count():
@@ -444,6 +483,30 @@ def test_bipartite_search_matches_oracle():
     assert hits > 10
 
 
+def test_part_swapping_cores_match_oracle_on_lopsided_hosts():
+    # a core with a part-exchanging automorphism is searched in one
+    # orientation; on 3x5 and 5x3 hosts many copies fit only one way round
+    rng = random.Random(29)
+    path4 = PatternSpec(BipartiteGraph(2, 2, [(0, 0), (1, 0), (1, 1)]), name="P4")
+    lone_star = PatternSpec(BipartiteGraph(2, 2, [(0, 0), (0, 1)]), name="star+K1")  # no swap
+    specs = [path4, theta(1, 3, 3), even_cycle(6), lone_star]
+    assert [spec.swaps for spec in specs] == [True, True, True, False]
+    # the star's centre fits only on the right: a copy in the second orientation alone
+    only_flipped = BipartiteGraph(3, 2, [(0, 0), (1, 0)])
+    assert find_ordered_bipartite(only_flipped, lone_star) == EmbeddingWitness((3, 4, 0, 1))
+    hits = 0
+    for trial in range(16):
+        m, n = (3, 5) if trial % 2 else (5, 3)
+        g = _random_bipartite(rng, m, n, 0.35 + 0.05 * (trial % 5))
+        for spec in specs:
+            got = find_ordered_bipartite(g, spec)
+            assert (got is None) == (_brute_bipartite(g, spec) is None), (trial, spec.name)
+            if got is not None:
+                hits += 1
+                assert verify_bipartite_witness(g, spec, got)
+    assert hits > 10
+
+
 # -- the finders' witness for a complete core --
 
 
@@ -484,12 +547,7 @@ def test_finder_witness_on_a_norm_graph_is_the_first_kst_copy(bipartite):
     assert _assert_finders_return_the_first_kst_copy(g, 2, 2) is not None
 
 
-@settings(
-    max_examples=300,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
+@settings(max_examples=300)
 @given(_swap_closed_graphs(), st.integers(1, 3), st.integers(1, 3))
 def test_finder_witness_on_swap_closed_hosts_is_the_first_kst_copy(g, s, t):
     _assert_finders_return_the_first_kst_copy(g, s, t)

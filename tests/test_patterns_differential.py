@@ -12,7 +12,7 @@ copy the brute force finds must use the new edge.
 import itertools
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_patterns import _brute_bipartite, _brute_expansion, _brute_graph
@@ -28,15 +28,6 @@ from turanlab.patterns import (
     pattern_through_edge,
     theta,
 )
-
-
-def _settings(examples):
-    return settings(
-        max_examples=examples,
-        derandomize=True,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-    )
 
 
 def _path4(expansion=False, placement="unordered"):
@@ -122,13 +113,13 @@ def _grow_graph(data, spec, n, extra):
 
 
 @pytest.mark.parametrize("spec,n,extra", GRAPH_CASES, ids=_case_id)
-@_settings(10)
+@settings(max_examples=10)
 @given(data=st.data())
 def test_through_edge_matches_brute_on_graphs(spec, n, extra, data):
     _grow_graph(data, spec, n, extra)
 
 
-@_settings(1)
+@settings(max_examples=1)
 @given(data=st.data())
 def test_through_edge_matches_brute_grid_on_graphs(data):
     _grow_graph(data, grid_2x2(), 9, 1)
@@ -188,13 +179,13 @@ def _grow_bipartite(data, spec, m, n, extra):
 
 
 @pytest.mark.parametrize("spec,m,n", BIPARTITE_CASES, ids=_case_id)
-@_settings(6)
+@settings(max_examples=6)
 @given(data=st.data())
 def test_through_edge_matches_brute_on_bipartite_hosts(spec, m, n, data):
     _grow_bipartite(data, spec, m, n, 2 * m)
 
 
-@_settings(30)
+@settings(max_examples=30)
 @given(data=st.data())
 def test_through_edge_matches_brute_p3_k2_on_bipartite_hosts(data):
     # the anchored arcs may not treat a flip of the K2's parts alone as a
@@ -202,7 +193,7 @@ def test_through_edge_matches_brute_p3_k2_on_bipartite_hosts(data):
     _grow_bipartite(data, _p3_k2(), 4, 4, 8)
 
 
-@_settings(1)
+@settings(max_examples=1)
 @given(data=st.data())
 def test_through_edge_matches_brute_grid_on_bipartite_hosts(data):
     _grow_bipartite(data, grid_2x2(placement="ordered"), 5, 4, 0)
@@ -224,7 +215,7 @@ THREE_GRAPH_CASES = [
 
 
 @pytest.mark.parametrize("spec,n", THREE_GRAPH_CASES, ids=_case_id)
-@_settings(10)
+@settings(max_examples=10)
 @given(data=st.data())
 def test_through_triple_matches_brute_on_3graphs(spec, n, data):
     core = spec.core
@@ -282,7 +273,7 @@ SEMIBIPARTITE_CASES = [
 
 
 @pytest.mark.parametrize("spec,m,n", SEMIBIPARTITE_CASES, ids=_case_id)
-@_settings(5)
+@settings(max_examples=5)
 @given(data=st.data())
 def test_through_triple_matches_brute_on_semibipartite_hosts(spec, m, n, data):
     core = spec.core

@@ -267,6 +267,24 @@ def test_caps():
         )
 
 
+@pytest.mark.parametrize("text", ["K{2,2}+ ordered", "K{2,2}+ core-in-V1"])
+def test_3graph_ex_refuses_placements_on_a_host_too_small_to_hold_them(monkeypatch, text):
+    # with the capacity count first, the pattern would be dropped and the
+    # complete 3-graph on 4 vertices returned; the re-check's finder, which
+    # refuses it too but only after the search, is kept out of the way
+    monkeypatch.setattr(solvers, "find_expansion", lambda host, spec: None)
+    with pytest.raises(ValueError, match="needs a host with parts"):
+        ex_exact(4, parse_pattern(text), host_kind="3graph")
+
+
+def test_graph_ex_refuses_ordered_patterns_on_a_host_too_small_to_hold_them(monkeypatch):
+    monkeypatch.setattr(solvers, "find_in_graph", lambda host, spec: None)
+    with pytest.raises(ValueError, match="needs a host with parts"):
+        ex_exact(3, parse_pattern("C4 ordered"))
+    with pytest.raises(ValueError, match="needs a host with parts"):
+        ex_exact(3, [parse_pattern("K{1,1}"), parse_pattern("C4 ordered")])
+
+
 def test_host_pattern_kind_validation():
     with pytest.raises(ValueError):
         ex_exact(4, parse_pattern("K{2,2}+"))

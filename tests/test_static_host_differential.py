@@ -23,7 +23,7 @@ import itertools
 import random
 from collections import Counter
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turanlab.errors import InvariantViolationError
@@ -40,15 +40,6 @@ from turanlab.patterns import (
     heavy_shadow_graph,
     verify_expansion_witness,
 )
-
-
-def _settings(examples):
-    return settings(
-        max_examples=examples,
-        derandomize=True,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-    )
 
 
 def _reference_greedy_extend(h, s_side, t_side):
@@ -216,7 +207,7 @@ def _outcomes(h, drawn):
     return out
 
 
-@_settings(60)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_static_host_reads_match_the_per_call_scans(data):
     n = data.draw(st.integers(4, 16))
@@ -238,7 +229,7 @@ def test_static_host_reads_match_the_per_call_scans(data):
     assert _outcomes(again, drawn) == first
 
 
-@_settings(60)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_find_expansion_on_a_semibipartite_host_and_its_plain_view(data):
     m = data.draw(st.integers(2, 9))

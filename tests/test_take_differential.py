@@ -20,7 +20,7 @@ s-side, and s up to 4.
 import itertools
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_patterns_differential import _p3_k2, _path4, _two_k2
@@ -34,15 +34,6 @@ from turanlab.patterns import (
     plan_take,
     theta,
 )
-
-
-def _settings(examples):
-    return settings(
-        max_examples=examples,
-        derandomize=True,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-    )
 
 
 def _state(host):
@@ -126,7 +117,7 @@ GRAPH_POOL = [
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
-@_settings(60)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_take_matches_checks_on_graphs(n, data):
     _run(data, lambda: GraphHost(n), list(itertools.combinations(range(n), 2)), GRAPH_POOL)
@@ -152,7 +143,7 @@ BIPARTITE_POOL = [
 
 
 @pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (4, 5), (5, 3)])
-@_settings(60)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_take_matches_checks_on_bipartite_hosts(m, n, data):
     universe = [(u, m + w) for u in range(m) for w in range(n)]
@@ -168,14 +159,14 @@ DENSE_POOL = [
 
 
 @pytest.mark.parametrize("n", [7, 9])
-@_settings(40)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_take_matches_checks_on_dense_graphs(n, data):
     _run(data, lambda: GraphHost(n), list(itertools.combinations(range(n), 2)), DENSE_POOL, dense=True)
 
 
 @pytest.mark.parametrize("m,n", [(4, 5), (5, 4)])
-@_settings(40)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_take_matches_checks_on_dense_bipartite_hosts(m, n, data):
     universe = [(u, m + w) for u in range(m) for w in range(n)]
@@ -198,7 +189,7 @@ THREE_GRAPH_POOL = [
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
-@_settings(40)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_take_matches_checks_on_3graphs(n, data):
     universe = list(itertools.combinations(range(n), 3))
@@ -223,7 +214,7 @@ SEMIBIPARTITE_POOL = [
 
 
 @pytest.mark.parametrize("m,n", [(3, 3), (4, 4), (5, 3), (6, 6), (9, 3)])
-@_settings(40)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_take_matches_checks_on_semibipartite_hosts(m, n, data):
     universe = [(u, v, m + w) for u, v in itertools.combinations(range(m), 2) for w in range(n)]

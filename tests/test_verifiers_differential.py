@@ -13,7 +13,7 @@ answers occur.
 import itertools
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turanlab.hypergraph import BipartiteGraph, Graph, SemibipartiteThreeGraph, ThreeGraph
@@ -75,15 +75,6 @@ def _reference_expansion(h, spec, w) -> bool:
     return _reference_holds(h, spec, w.core_map, w.core_edges, w.apexes)
 
 
-def _settings(examples):
-    return settings(
-        max_examples=examples,
-        derandomize=True,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-    )
-
-
 def _labels(data, count, size):
     """`count` host labels out of `size`: usually distinct, sometimes any
     labels at all, repeats and out-of-range ones included."""
@@ -118,7 +109,7 @@ PARTED = {"bipartite": BipartiteGraph, "semibipartite": SemibipartiteThreeGraph}
 
 
 @pytest.mark.parametrize("kind", ["graph", "bipartite", "3graph", "semibipartite"])
-@_settings(300)
+@settings(max_examples=300)
 @given(data=st.data())
 def test_verifiers_match_the_set_rule(kind, data):
     rank3 = kind in ("3graph", "semibipartite")
