@@ -172,8 +172,10 @@ def _core_symmetry(core: BipartiteGraph, ordered: bool) -> tuple[bool, tuple[tup
     keep = [host.left_mask] * m + [host.right_mask] * core.n
     edges = tuple((a, m + b) for a, b in core.edges)
     flipped = keep[::-1]  # the parts' masks exchanged, when the parts are equal
-    probe = _embeddings(_embedding_plan(len(keep), edges, ()), flipped, host.adj)
-    swaps = m == core.n and next(probe, None) is not None
+    swaps = False
+    if m == core.n:
+        probe = _embeddings(_embedding_plan(len(keep), edges, ()), flipped, host.adj)
+        swaps = next(probe, None) is not None
     sides = [keep, flipped] if swaps and not ordered else [keep]
     directed = [(ei, x, y) for ei, (a, b) in enumerate(edges) for x, y in ((a, b), (b, a))]
     arcs, seen = [], set()
@@ -182,8 +184,7 @@ def _core_symmetry(core: BipartiteGraph, ordered: bool) -> tuple[bool, tuple[tup
             arcs.append((ei, rx, ry))
             plan = _embedding_plan(len(keep), edges, (min(rx, ry), max(rx, ry)))
             for _, x, y in directed:
-                anchors = ((rx, x), (ry, y)) if rx < ry else ((ry, y), (rx, x))
-                maps = (_embeddings(plan, allowed, host.adj, anchors) for allowed in sides)
+                maps = (_embeddings(plan, allowed, host.adj, ((rx, x), (ry, y))) for allowed in sides)
                 if any(next(it, None) for it in maps):
                     seen.add((x, y))
     return swaps, tuple(arcs)
@@ -609,9 +610,9 @@ def _embeddings(plan, allowed: list[int], adj, anchors=()) -> Iterator[tuple[int
 
     allowed[i] masks the host vertices permitted for core vertex i; anchors
     holds the (core vertex, host vertex) pairs the plan's anchored vertices
-    are fixed to, in core vertex order.  A free vertex's candidates need
-    host degree at least its core degree, and the first free vertex's
-    candidates are tried in ascending host degree.
+    are fixed to.  A free vertex's candidates need host degree at least its
+    core degree, and the first free vertex's candidates are tried in
+    ascending host degree.
     """
     anchored_edges, steps = plan
     mapping = [-1] * len(allowed)
@@ -1035,8 +1036,7 @@ def _plan_through_pair(spec: PatternSpec, host: GraphHost):
         for lm, rm in sides:
             allowed = [lm & ~avoid] * s + [rm & ~avoid] * t
             for ei, x, y, plan in plans:
-                anchors = ((x, u), (y, v)) if x < y else ((y, v), (x, u))
-                for emb in _embeddings(plan, allowed, adj, anchors):
+                for emb in _embeddings(plan, allowed, adj, ((x, u), (y, v))):
                     if accept is None or accept(emb, ei):
                         return True
         return False
