@@ -194,6 +194,34 @@ def test_later_group_deletion_sends_the_scan_back_to_group_zero():
     assert res == _reference_extract_full(h, spec)
 
 
+def test_a_pair_past_the_host_reads_as_degree_zero():
+    # pair (0, 7) lies past n = 5; read as a table index 0 * 5 + 7 it would
+    # alias pair (1, 2), whose degree is 1, below the floor
+    h = ThreeGraph(5, [(1, 2, 3)])
+    spec = FullnessSpec((FullnessGroup(((0, 7),), 2),), 2)
+    assert _reference_is_full(h, spec)
+    assert is_full(h, spec)
+    with pytest.raises(ValueError, match="outside the vertex range"):
+        extract_full(h, spec)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_subsets_past_the_host_match_the_definition(data):
+    n = data.draw(st.integers(3, 7))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    h = ThreeGraph(n, [t for t in itertools.combinations(range(n), 3) if rng.random() < 0.5])
+    size = data.draw(st.sampled_from((1, 2)))
+    pool = list(itertools.combinations(range(2 * n + 2), size))
+    listed = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+    floor = data.draw(st.integers(1, 4))
+    spec = FullnessSpec((FullnessGroup(tuple(sorted(listed)), floor),), size)
+    assert is_full(h, spec) == _reference_is_full(h, spec)
+    if max(e[-1] for e in listed) >= n:
+        with pytest.raises(ValueError, match="outside the vertex range"):
+            extract_full(h, spec)
+
+
 @st.composite
 def _hosts_and_specs(draw):
     """A random 3-graph on up to 12 vertices and a vertex or pair spec of 1-3
