@@ -11,24 +11,21 @@ edges are spent on it, which gives the retained-size guarantee
 
     |result| >= |input| - sum_j (floor_j - 1) * |group_j|.
 
-Neither function rescans the edges per subset.  is_full counts the degree
-of every subset of the spec's size in one pass over the edges, each triple
-feeding its three vertices or its three pairs.  extract_full indexes each
-listed subset by the set of live triples containing it (its degree is the
-set's size) and gives it a scan rank: its group's position, then its own
-position in the group.  A min-heap holds the ranks of offenders.  Because
-degrees never rise, a subset that becomes an offender stays one until its
-degree reaches zero, and it enters the heap once, when it first falls
-below its floor.  So the smallest rank in the heap whose degree is not yet
-zero is exactly the first offender the restarted scan would find, and
-popping it (dropping ranks whose degree has reached zero) deletes the same
-subsets in the same order.
+Neither function rescans the edges per subset.  A subset inside the host
+has a dense id, the vertex itself or a * n + b for a pair a < b < n, and
+one pass over the triples fills a flat list of degrees; a listed subset
+past the host has degree zero.  extract_full ranks the listed subsets in
+scan order and keeps the ranks of offenders in a min-heap.  Degrees never
+rise, so an offender stays one until its degree is zero and enters the
+heap once, when it first falls below its floor: the smallest live rank in
+the heap is the first offender the restarted scan would find.  Only a
+non-empty heap makes each id list its triples' indices and each triple
+carry an alive flag; the kept host is h.edges filtered in order.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvariantViolationError
@@ -87,59 +84,62 @@ class FullnessResult:
     lower_bound: int
 
 
-def _subsets(t: tuple[int, int, int], size: int) -> tuple[tuple[int, ...], ...]:
-    """The three vertices (size 1) or the three pairs (size 2) of a triple."""
-    a, b, c = t
-    return ((a,), (b,), (c,)) if size == 1 else ((a, b), (a, c), (b, c))
+def _tables(h: ThreeGraph, spec: FullnessSpec) -> tuple[list, list[int], list]:
+    """Triple ids, id degrees, and (group, subset, id, floor) per listed subset in the host."""
+    n, size = h.n, spec.subset_size
+    ids = h.edges if size == 1 else [(a * n + b, a * n + c, b * n + c) for a, b, c in h.edges]
+    deg = [0] * n**size
+    for x, y, z in ids:
+        deg[x] += 1
+        deg[y] += 1
+        deg[z] += 1
+    return ids, deg, [(gi, e, e[0] * n + e[1] if size == 2 else e[0], g.floor)
+                      for gi, g in enumerate(spec.groups) for e in g.elements if e[-1] < n]
 
 
 def is_full(h: ThreeGraph, spec: FullnessSpec) -> bool:
-    deg = Counter(s for t in h.edges for s in _subsets(t, spec.subset_size))
-    return not any(0 < deg[e] < g.floor for g in spec.groups for e in g.elements)
+    _, deg, listed = _tables(h, spec)  # a subset past the host has degree zero
+    return not any(0 < deg[x] < floor for _, _, x, floor in listed)
 
 
 def extract_full(h: ThreeGraph, spec: FullnessSpec) -> FullnessResult:
     """Delete offenders in the order of the scan-and-restart definition."""
-    for g in spec.groups:
-        for e in g.elements:
-            if e[-1] >= h.n:
-                raise ValueError(f"subset {e} outside the vertex range")
-    size = spec.subset_size
-    order = [(gi, e, g.floor) for gi, g in enumerate(spec.groups) for e in g.elements]
-    rank = {e: r for r, (_, e, _) in enumerate(order)}
-    holders: dict[tuple[int, ...], set] = {e: set() for e in rank}
-    for t in h.edges:
-        for s in _subsets(t, size):
-            if s in holders:
-                holders[s].add(t)
+    outside = [e for g in spec.groups for e in g.elements if e[-1] >= h.n]
+    if outside:
+        raise ValueError(f"subset {outside[0]} outside the vertex range")
+    ids, deg, order = _tables(h, spec)
+    rank, floor = [0] * len(deg), [0] * len(deg)  # an unlisted id has floor 0
+    for r, (_, _, x, f) in enumerate(order):
+        rank[x], floor[x] = r, f
     # ascending ranks already form a heap
-    heap = [r for r, (_, e, floor) in enumerate(order) if 0 < len(holders[e]) < floor]
+    heap = [r for r, (_, _, x, f) in enumerate(order) if 0 < deg[x] < f]
 
-    alive = set(h.edges)
-    deleted_elements = []
-    deleted_edges = 0
-    while heap:
-        gi, e, _ = order[heapq.heappop(heap)]
-        doomed = holders[e]
-        if not doomed:
-            continue
-        deleted_elements.append((gi, e))
-        deleted_edges += len(doomed)
-        for t in list(doomed):
-            alive.remove(t)
-            for s in _subsets(t, size):
-                held = holders.get(s)
-                if held is not None:
-                    held.remove(t)
-                    r = rank[s]
-                    # pushed once: when the degree first falls below the floor
-                    if 0 < len(held) == order[r][2] - 1:
-                        heapq.heappush(heap, r)
+    edges, deleted_elements = h.edges, []
+    if heap:
+        holders = [[] for _ in deg]  # each id's triples, by index
+        for i, t in enumerate(ids):
+            for x in t:
+                holders[x].append(i)
+        alive = [True] * len(edges)
+        while heap:
+            gi, e, x, _ = order[heapq.heappop(heap)]
+            if not deg[x]:
+                continue
+            deleted_elements.append((gi, e))
+            for i in holders[x]:
+                if alive[i]:
+                    alive[i] = False
+                    for y in ids[i]:
+                        deg[y] -= 1
+                        # pushed once: when the degree first falls below the floor
+                        if 0 < deg[y] == floor[y] - 1:
+                            heapq.heappush(heap, rank[y])
+        edges = [t for t, kept in zip(edges, alive) if kept]
 
-    result = ThreeGraph(h.n, sorted(alive))
+    result = ThreeGraph(h.n, edges)
     if not is_full(result, spec):
         raise InvariantViolationError("extraction left an unfull subset")
     lower = len(h.edges) - spec.deletion_budget()
     if len(result.edges) < lower:
         raise InvariantViolationError("retained-size guarantee violated")
-    return FullnessResult(result, tuple(deleted_elements), deleted_edges, lower)
+    return FullnessResult(result, tuple(deleted_elements), len(h.edges) - len(edges), lower)

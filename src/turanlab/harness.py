@@ -249,31 +249,33 @@ def decompose_3graph(h: ThreeGraph, v: int, s: int, t: int) -> Decomposition:
     V1 holds the vertices whose pair degree with the pivot reaches
     (s+1)(t+1); V2 the rest.  Edges through the pivot are counted once, in
     the pivot region; the remaining edges are classified by how many of
-    their vertices lie in V1.
+    their vertices lie in V1.  The pivot's triples give the codegrees, V1
+    is a flat 0/1 list over the vertices, and every triple is tallied by
+    its V1 count before the pivot's triples are taken off again (the pivot
+    lies in neither part, so each keeps its own count).
     """
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} not in host")
     if s < 1 or t < 1:
         raise ValueError("codegree threshold needs s, t >= 1")
     threshold = (s + 1) * (t + 1)
-    co = [0] * h.n  # the pivot's own tally is never read
-    rest = []
-    for e in h.edges:
-        if v in e:
-            for u in e:
-                co[u] += 1
-        else:
-            rest.append(e)
-    v1 = tuple(u for u in range(h.n) if u != v and co[u] >= threshold)
-    v2 = tuple(u for u in range(h.n) if u != v and co[u] < threshold)
-    m1 = 0
-    for u in v1:
-        m1 |= 1 << u
-    tally = [0, 0, 0, 0]  # non-pivot edges by their number of V1 vertices
-    for a, b, c in rest:
-        tally[(m1 >> a & 1) + (m1 >> b & 1) + (m1 >> c & 1)] += 1
+    mine = [e for e in h.edges if v in e]
+    co = [0] * h.n
+    for a, b, c in mine:
+        co[a] += 1
+        co[b] += 1
+        co[c] += 1
+    in1 = [d >= threshold for d in co]
+    in1[v] = False
+    v1 = tuple(u for u, inside in enumerate(in1) if inside)
+    v2 = tuple(u for u, inside in enumerate(in1) if not inside and u != v)
+    tally = [0, 0, 0, 0]  # edges by their number of V1 vertices
+    for a, b, c in h.edges:
+        tally[in1[a] + in1[b] + in1[c]] += 1
+    for a, b, c in mine:
+        tally[in1[a] + in1[b] + in1[c]] -= 1
     counts = {
-        "pivot": h.edge_count - len(rest),
+        "pivot": len(mine),
         "inside_v1": tally[3],
         "two_in_v1_one_in_v2": tally[2],
         "one_in_v1_two_in_v2": tally[1],

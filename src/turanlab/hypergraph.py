@@ -228,11 +228,14 @@ class ThreeGraph(_Host):
         norm_edges = []
         last, ordered = (), True
         for e in edges:
-            t = tuple(sorted(e))
-            if not (len(t) == 3 and 0 <= t[0] < t[1] < t[2] < n):
-                if len(t) != 3 or len(set(t)) != 3:
-                    raise ValueError(f"not a 3-set: {e}")
-                raise ValueError(f"edge {e} out of range for n={n}")
+            if type(e) is tuple and len(e) == 3 and 0 <= e[0] < e[1] < e[2] < n:
+                t = e  # already normalized
+            else:
+                t = tuple(sorted(e))
+                if not (len(t) == 3 and 0 <= t[0] < t[1] < t[2] < n):
+                    if len(t) != 3 or len(set(t)) != 3:
+                        raise ValueError(f"not a 3-set: {e}")
+                    raise ValueError(f"edge {e} out of range for n={n}")
             ordered = ordered and last < t
             last = t
             norm_edges.append(t)

@@ -1237,8 +1237,17 @@ def _witness_holds(h, spec: PatternSpec, core_map, core_edges, apexes=()) -> boo
         return False
     edges = h.edges
     for i, (a, b) in enumerate(core_edges):
-        *lower, last = sorted((core_map[a], core_map[b], *apexes[i : i + 1]))
-        key = (*lower, last - m)
+        x, y = core_map[a], core_map[b]
+        if x > y:
+            x, y = y, x
+        if not apexes:
+            key = (x, y - m)
+        elif (w := apexes[i]) < x:
+            key = (w, x, y - m)
+        elif w < y:
+            key = (x, w, y - m)
+        else:
+            key = (x, y, w - m)
         j = bisect_left(edges, key)
         if j == len(edges) or edges[j] != key:
             return False

@@ -2,7 +2,8 @@
 
 `greedy_extend`, `heavy_shadow_graph` and `find_expansion` read their pair
 links from one shared index of the last static host asked about, and
-`decompose_3graph` classifies the non-pivot triples with a V1 bitmask.  The
+`decompose_3graph` tallies every triple by its count in a flat 0/1 list
+of V1 and then takes the pivot's triples off again.  The
 references below are the earlier bodies: `greedy_extend` scanning every host
 triple for the links of its core pairs, a pair-degree count from the
 triples, and the two-pass decomposition that tests membership in a V1 set.
