@@ -250,9 +250,9 @@ def decompose_3graph(h: ThreeGraph, v: int, s: int, t: int) -> Decomposition:
     (s+1)(t+1); V2 the rest.  Edges through the pivot are counted once, in
     the pivot region; the remaining edges are classified by how many of
     their vertices lie in V1.  The pivot's triples give the codegrees, V1
-    is a flat 0/1 list over the vertices, and every triple is tallied by
-    its V1 count before the pivot's triples are taken off again (the pivot
-    lies in neither part, so each keeps its own count).
+    is a flat 0/1 list over the vertices (0 at the pivot, which lies in
+    neither part), and every triple is tallied by its V1 count before the
+    pivot's triples are taken off again.
     """
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} not in host")
