@@ -21,13 +21,13 @@ from turanlab.harness import decompose_3graph
 from turanlab.hypergraph import ThreeGraph
 
 
-def _hosts(seed=29, count=10, density=0.15):
-    rng = random.Random(seed)
+def _hosts():
+    rng = random.Random(29)
     hosts = []
-    for i in range(count):
+    for i in range(10):
         n = 14 + (5 * i) % 9
         triples = list(itertools.combinations(range(n), 3))
-        hosts.append(ThreeGraph(n, rng.sample(triples, round(density * len(triples)))))
+        hosts.append(ThreeGraph(n, rng.sample(triples, round(0.15 * len(triples)))))
     return hosts
 
 
