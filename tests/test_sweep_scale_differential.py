@@ -6,7 +6,8 @@ decomposition, so a cascade of deletions that empties a sparse host is
 rarely sampled there.  Here ten seeded 3-graphs on 14..22 vertices at
 density 0.15 run through `extract_full` with vertex floors at 0.5 and 0.8
 of the mean degree and pair floors at 0.5 and 1.0 of the mean pair degree,
-and through `decompose_3graph` at every pivot.
+and through `decompose_3graph` at every pivot, with the codegree threshold
+of K{1,1}+ and of K{2,2}+, the workload's own.
 """
 
 import itertools
@@ -39,6 +40,7 @@ def _specs(h):
 
 
 HOSTS = _hosts()
+SHAPES = ((1, 1), (2, 2))
 
 
 @pytest.mark.parametrize("h", HOSTS, ids=lambda h: f"n{h.n}-m{h.edge_count}")
@@ -51,10 +53,22 @@ def test_extract_full_matches_the_definition_at_sweep_scale(h):
 @pytest.mark.parametrize("h", HOSTS, ids=lambda h: f"n{h.n}-m{h.edge_count}")
 def test_decompose_3graph_matches_the_two_pass_split_at_sweep_scale(h):
     for v in range(h.n):
-        got = decompose_3graph(h, v, 2, 2)
-        want = _reference_decompose(h, v, 2, 2)
-        assert got == want
-        assert list(got.counts) == list(want.counts)
+        for s, t in SHAPES:
+            got = decompose_3graph(h, v, s, t)
+            want = _reference_decompose(h, v, s, t)
+            assert got == want
+            assert list(got.counts) == list(want.counts)
+
+
+def test_the_pivots_reach_every_region():
+    # at (2, 2), the workload's shape, no pivot of these hosts has a peer of
+    # codegree 9, so V1 is empty; at (1, 1) most pivots have one, and some
+    # split the other triples over all four regions
+    for (s, t), nonempty, every in zip(SHAPES, (153, 0), (79, 0)):
+        splits = [_reference_decompose(h, v, s, t) for h in HOSTS for v in range(h.n)]
+        assert len(splits) == 176
+        assert sum(1 for d in splits if d.v1) == nonempty
+        assert sum(1 for d in splits if all(d.counts.values())) == every
 
 
 def test_the_hosts_reach_the_cascades_the_small_draws_miss():

@@ -12,9 +12,11 @@ false, and must leave it equal to the copy with e added when it is true.
 The planned take is built once per example and kept across the steps, as a
 solve keeps it.  Complete cores, C6 and other cores, expansions, every
 placement, and specs the host's parts cannot hold are all drawn.  The
-complete cores cover every form of the rank-2 take: K{1,1} (no search, every
-take refused), s = 2 with t - 1 up to 3 with either anchor leading the
-s-side, and s up to 4.
+complete cores cover every form of the complete-core take.  At rank 2:
+K{1,1} (no search, every take refused), s = 2 with t - 1 up to 3 with
+either anchor leading the s-side, and s up to 4.  At rank 3: K{1,3}+,
+whose apex match has two other core edges to place, and K{2,3}+ and
+K{3,2}+, which need 11 vertices and so are drawn on dense 3-graphs too.
 """
 
 import itertools
@@ -181,6 +183,9 @@ THREE_GRAPH_POOL = [
     complete_bipartite(1, 2, expansion=True),
     complete_bipartite(2, 1, expansion=True),
     complete_bipartite(2, 2, expansion=True),
+    complete_bipartite(1, 3, expansion=True),
+    complete_bipartite(2, 3, expansion=True),
+    complete_bipartite(3, 2, expansion=True),
     even_cycle(4, expansion=True),
     _path4(expansion=True),
     even_cycle(6, expansion=True),
@@ -204,6 +209,10 @@ SEMIBIPARTITE_POOL = [
     complete_bipartite(2, 2, expansion=True, placement="core-in-V1"),
     complete_bipartite(1, 2, expansion=True),
     complete_bipartite(2, 2, expansion=True),
+    complete_bipartite(1, 3, expansion=True),
+    complete_bipartite(2, 3, expansion=True, placement="ordered"),
+    complete_bipartite(3, 2, expansion=True, placement="core-in-V1"),
+    complete_bipartite(3, 2, expansion=True),
     _path4(expansion=True, placement="ordered"),
     _path4(expansion=True, placement="core-in-V1"),
     _path4(expansion=True),
@@ -221,6 +230,22 @@ def test_take_matches_checks_on_semibipartite_hosts(m, n, data):
     _run(data, lambda: ThreeGraphHost(m, n), universe, SEMIBIPARTITE_POOL)
 
 
+DENSE_3GRAPH_POOL = [
+    complete_bipartite(1, 3, expansion=True),
+    complete_bipartite(2, 2, expansion=True),
+    complete_bipartite(2, 3, expansion=True),
+    complete_bipartite(3, 2, expansion=True),
+]
+
+
+@pytest.mark.parametrize("n", [8, 11])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_take_matches_checks_on_dense_3graphs(n, data):
+    universe = list(itertools.combinations(range(n), 3))
+    _run(data, lambda: ThreeGraphHost(n), universe, DENSE_3GRAPH_POOL, dense=True)
+
+
 def test_pools_cover_every_placement_and_core_kind():
     pools = GRAPH_POOL + BIPARTITE_POOL + THREE_GRAPH_POOL + SEMIBIPARTITE_POOL
     assert {s.placement for s in pools} == {"unordered", "ordered", "core-in-V1"}
@@ -232,3 +257,8 @@ def test_pools_cover_every_placement_and_core_kind():
     assert complete_bipartite(1, 1) in GRAPH_POOL and complete_bipartite(2, 4) in GRAPH_POOL
     for pool in BIPARTITE_POOL, DENSE_POOL:
         assert complete_bipartite(2, 4) in pool and complete_bipartite(4, 2) in pool
+    # and of the rank-3 one: s = 1 with a match over two or more other core
+    # edges, s = 2, and s = 3, which recurses past the first pool member
+    for pool in THREE_GRAPH_POOL, SEMIBIPARTITE_POOL, DENSE_3GRAPH_POOL:
+        assert complete_bipartite(1, 3, expansion=True) in pool
+        assert {(s.core.m, s.core.n) for s in pool if s.is_complete} >= {(2, 3), (3, 2)}
