@@ -46,6 +46,7 @@ from .hypergraph import (
     ThreeGraph,
     content_hash,
     degree_stats,
+    iter_bits,
 )
 from .patterns import (
     PatternSpec,
@@ -53,6 +54,7 @@ from .patterns import (
     find_expansion,
     normalize_specs,
     remove_vertex,
+    static_host,
 )
 from .solvers import ex_exact, z_exact
 
@@ -249,38 +251,55 @@ def decompose_3graph(h: ThreeGraph, v: int, s: int, t: int) -> Decomposition:
     V1 holds the vertices whose pair degree with the pivot reaches
     (s+1)(t+1); V2 the rest.  Edges through the pivot are counted once, in
     the pivot region; the remaining edges are classified by how many of
-    their vertices lie in V1.  The pivot's triples give the codegrees, V1
-    is a flat 0/1 list over the vertices (0 at the pivot, which lies in
-    neither part), and every triple is tallied by its V1 count before the
-    pivot's triples are taken off again.
+    their vertices lie in V1.
+
+    The counts come from the pair links L of `patterns.static_host`, the
+    index the host's other static reads share, by inclusion-exclusion:
+    pivot = sum over u in N(v) of |L(v,u)| / 2, inside_v1 = sum over pairs
+    x < y in V1 of |L(x,y) & V1| / 3, two_in_v1 = the same sum of
+    |L(x,y) - V1 - v|, one_in_v1 = sum over x in V1 of d(x) - |L(x,v)|,
+    less 2 two_in_v1 and 3 inside_v1, and inside_v2 the rest.  Past the
+    one index build per host, a pivot costs O(|N(v)| + |V1| n): one pass
+    over the pivot's shadow neighbours, one over each V1 vertex's for its
+    degree, and one over the pairs inside V1.  An odd pivot sum, a V1 pair
+    sum not divisible by 3, or a negative region raises
+    InvariantViolationError.
     """
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} not in host")
     if s < 1 or t < 1:
         raise ValueError("codegree threshold needs s, t >= 1")
     threshold = (s + 1) * (t + 1)
-    mine = [e for e in h.edges if v in e]
-    co = [0] * h.n
-    for a, b, c in mine:
-        co[a] += 1
-        co[b] += 1
-        co[c] += 1
-    in1 = [d >= threshold for d in co]
-    in1[v] = False
-    v1 = tuple(u for u, inside in enumerate(in1) if inside)
-    v2 = tuple(u for u, inside in enumerate(in1) if not inside and u != v)
-    tally = [0, 0, 0, 0]  # edges by their number of V1 vertices
-    for a, b, c in h.edges:
-        tally[in1[a] + in1[b] + in1[c]] += 1
-    for a, b, c in mine:
-        tally[in1[a] + in1[b] + in1[c]] -= 1
+    host = static_host(h)
+    link, adj = host.pair_link, host.adj
+    co = {u: link[(u, v) if u < v else (v, u)].bit_count() for u in iter_bits(adj[v])}
+    v1 = tuple(u for u, d in co.items() if d >= threshold)
+    in1 = 0
+    for u in v1:
+        in1 |= 1 << u
+    v2 = tuple(u for u in range(h.n) if u != v and not in1 >> u & 1)
+    through, inside, two = sum(co.values()), 0, 0
+    for i, x in enumerate(v1):
+        for y in v1[i + 1:]:
+            third = link.get((x, y), 0)
+            inside += (third & in1).bit_count()
+            two += (third & ~in1 & ~(1 << v)).bit_count()
+    one = -2 * two - inside
+    for x in v1:
+        one += sum(link[(x, y) if x < y else (y, x)].bit_count() for y in iter_bits(adj[x])) // 2 - co[x]
+    if through % 2:
+        raise InvariantViolationError(f"codegrees at pivot {v} sum to the odd {through}")
+    if inside % 3:
+        raise InvariantViolationError(f"pair links inside V1 sum to {inside}, not a multiple of 3")
     counts = {
-        "pivot": len(mine),
-        "inside_v1": tally[3],
-        "two_in_v1_one_in_v2": tally[2],
-        "one_in_v1_two_in_v2": tally[1],
-        "inside_v2": tally[0],
+        "pivot": through // 2,
+        "inside_v1": inside // 3,
+        "two_in_v1_one_in_v2": two,
+        "one_in_v1_two_in_v2": one,
+        "inside_v2": h.edge_count - through // 2 - inside // 3 - two - one,
     }
+    if min(counts.values()) < 0:
+        raise InvariantViolationError(f"negative region count in {counts}")
     if sum(counts.values()) != h.edge_count:
         raise InvariantViolationError("region counts fail to partition the edges")
     return Decomposition(v, v1, v2, counts, h.edge_count)

@@ -46,10 +46,10 @@ so no search rebuilds the shadow.  The solvers grow a host edge by edge.
 `GraphHost.can_hold` counts whether a host's parts have room for one copy
 of an admitted pattern at all; the finders answer None at once when they do
 not, and `plan_take` drops such patterns before a solve's search.
-The 3-graph searches that never change their host (`find_expansion`,
-`heavy_shadow_graph`, `greedy_extend`) share one read-only index,
-`_static_host`, built once for the last static 3-graph asked about: none of
-them may mutate it.  It keeps one entry, not one per host, because callers
+The 3-graph reads that never change their host (`find_expansion`,
+`heavy_shadow_graph`, `greedy_extend`, and `harness.decompose_3graph`)
+share one read-only index, `static_host`, built once for the last static
+3-graph asked about: none of them may mutate it.  It keeps one entry, not one per host, because callers
 ask many questions of one host before moving on, and a kept index would
 hold each host's pair links for as long as the host lives.
 
@@ -70,10 +70,14 @@ than the search.  Any other core follows its arc's embedding plan.  The
 orientations, arcs and plans depend only on the spec and the host's part
 masks, so `plan_take` fixes them once per solve and returns the solvers'
 step take(e), which adds e unless it completes a copy; the two checks
-above plan the same way on every call.  At rank 2, take runs a complete
-core's test itself, from the anchor tuples `_kst_anchors` derives for both:
-for s = 2 (C4, K{2,t}) a flat loop over the pool with no call, for s >= 3
-one call into `kst_through`'s recursion.  So the solvers never run
+above plan the same way on every call.  At both ranks, take runs a
+complete core's test itself, from the anchor tuples `_kst_anchors` derives:
+at rank 2 for s = 2 (C4, K{2,t}) a flat loop over the pool with no call,
+for s >= 3 one call into `kst_through`'s recursion; at rank 3 for each
+(pair, apex) split of the triple, deciding the apexes straight from the
+pair links, for K{1,2}+ a flat loop over N(ha), for any other core one
+call into the recursion with a single accept that matches apexes only when
+two or more core pairs want one.  So the solvers never run
 `pattern_through_edge` or `expansion_through_triple`: those are the
 reference paths the differential tests check take against.
 """
@@ -836,10 +840,10 @@ class ThreeGraphHost(GraphHost):
 _last_static: tuple = (None, None)
 
 
-def _static_host(h: ThreeGraph | SemibipartiteThreeGraph) -> ThreeGraphHost:
+def static_host(h: ThreeGraph | SemibipartiteThreeGraph) -> ThreeGraphHost:
     """`ThreeGraphHost.of(h)` for the last static 3-graph asked about: a
-    read-only index with one entry, for the reasons in the module docstring.
-    It is keyed by the host object, not its value, so a lookup hashes
+    read-only index with one entry, for the reasons in the module docstring:
+    a caller must not change the host it returns.  It is keyed by the host object, not its value, so a lookup hashes
     nothing; the entry keeps its host alive, so no other object can take
     that identity while it is stored."""
     global _last_static
@@ -951,15 +955,16 @@ def find_expansion(
     `GraphHost.sides` gives; each is completed by a maximum matching between
     core edges and distinct eligible apexes, so a core whose edges would
     have to share an apex is (correctly) rejected.  Shadow and pair links
-    come from the one-entry, read-only index of `_static_host`, which a
-    caller's next question about the same host reuses.
+    come from the one-entry, read-only index of `static_host`, which a
+    caller's next question about the same host (`heavy_shadow_graph`,
+    `greedy_extend`, `harness.decompose_3graph`) reuses.
 
     A host whose parts cannot hold the expansion (`GraphHost.can_hold`
     counts the core's vertices and one distinct apex per core edge: an
     ordered K{2,2}+, say, needs 6 left vertices) is answered None without a
     search, exactly.
     """
-    host = _static_host(h)
+    host = static_host(h)
     combined_edges, pair_link = spec.combined_edges, host.pair_link
     return _first_copy(host, spec, lambda emb: _try_apex_match(emb, combined_edges, pair_link))
 
@@ -1095,7 +1100,8 @@ def plan_take(host: GraphHost, specs) -> Callable[[tuple], bool]:
     is planned here, once per host, as `pattern_through_edge` and
     `expansion_through_triple` plan theirs on every call.  At rank 2 a
     complete core's test runs inline, before the edge is added, anchor by
-    anchor (`_kst_anchors`), as `kst_through` without accept would: the
+    anchor (`_kst_anchors`), as `kst_through` without accept would (at rank
+    3, see `_plan_take_triple`): the
     intersection is N(ha) in the t-side mask and the pool N(hb) in the
     s-side mask, which leave out hb and ha while the pair is no edge.  For
     s = 2 a flat loop over the pool asks whether some member x keeps t - 1
@@ -1108,22 +1114,10 @@ def plan_take(host: GraphHost, specs) -> Callable[[tuple], bool]:
         host.admit(spec)
         if host.can_hold(spec):
             kept.append(spec)
-    add, remove = host.add, host.remove
-    if host.rank == 3:
-        hits = tuple(_plan_through_triple(s, host) for s in kept)
-
-        def take(t):
-            add(t)
-            for hit in hits:
-                if hit(t):
-                    remove(t)
-                    return False
-            return True
-
-        return take
-
-    adj = host.adj
+    add, remove, adj = host.add, host.remove, host.adj
     anchors = tuple(a for s in kept if s.is_complete for a in _kst_anchors(s, host))
+    if host.rank == 3:
+        return _plan_take_triple(host, anchors, [s for s in kept if not s.is_complete])
     after = tuple(_plan_through_pair(s, host) for s in kept if not s.is_complete)
 
     def take(e):
@@ -1154,6 +1148,71 @@ def plan_take(host: GraphHost, specs) -> Callable[[tuple], bool]:
     return take
 
 
+def _plan_take_triple(host: ThreeGraphHost, anchors, others):
+    """`plan_take`'s step on a 3-graph host: the complete cores' `anchors`
+    are tested inline, the `others` through `_plan_through_triple`.
+
+    A new copy puts some core edge on a pair (u, v) of the triple with its
+    third vertex as apex.  For each of the three splits and each anchor, N(ha)
+    and N(hb) leave out hb, ha and the apex, and the core's other pairs need
+    distinct apexes off the core and off the forced one, read from the pair
+    links.  None of those pairs is a pair of the triple (each of those is the
+    anchor or holds the apex), so the test runs before the triple is added,
+    as at rank 2.  For K{1,2}+ it is a flat loop: some x in N(ha) whose link
+    with ha has a free vertex.  Any other core makes one call into
+    `_kst_through_from`, whose accept matches apexes only when two or more
+    pairs want one.
+    """
+    add, remove, adj, link = host.add, host.remove, host.adj, host.pair_link
+    after = tuple(_plan_through_triple(s, host) for s in others)
+    forced = [0]  # the apex of the split under test, as a bit
+
+    def accept(s_side, t_side):
+        taken = forced[0]
+        for x in s_side + t_side:
+            taken |= 1 << x
+        masks = []
+        for key in [(x, y) if x < y else (y, x) for x in s_side for y in t_side][1:]:
+            free = link[key] & ~taken
+            if not free:
+                return False
+            masks.append(free)
+        return len(masks) < 2 or _match_distinct(masks) is not None
+
+    def take(e):
+        a, b, c = e
+        for u, v, apex in ((a, b, c), (a, c, b), (b, c, a)):
+            off = 1 << apex
+            for more, need, first, second, forward in anchors:
+                ha, hb = (u, v) if forward else (v, u)
+                if not (first >> ha & 1 and second >> hb & 1):
+                    continue
+                inter = adj[ha] & second & ~(off | 1 << hb)
+                if inter.bit_count() < need:
+                    continue
+                if not more and need == 1:
+                    taken = off | 1 << ha | 1 << hb
+                    while inter:
+                        low = inter & -inter
+                        inter ^= low
+                        x = low.bit_length() - 1
+                        if link[(ha, x) if ha < x else (x, ha)] & ~(taken | low):
+                            return False
+                    continue
+                forced[0] = off
+                pool = adj[hb] & first & ~(off | 1 << ha)
+                if _kst_through_from(adj, more, need, pool, inter, (ha,), (hb,), accept):
+                    return False
+        add(e)
+        for hit in after:
+            if hit(e):
+                remove(e)
+                return False
+        return True
+
+    return take
+
+
 # -- greedy expansion extension --
 
 
@@ -1161,10 +1220,11 @@ def heavy_shadow_graph(h: ThreeGraph, threshold: int) -> Graph:
     """Graph of shadow pairs whose pair degree in h is >= threshold.
 
     The pair links come from the one-entry, read-only index of
-    `_static_host`, so asking for several thresholds of one host builds
-    them once.
+    `static_host`, so asking for several thresholds of one host builds
+    them once, and `greedy_extend`, `find_expansion` and
+    `harness.decompose_3graph` read the same index after it.
     """
-    pair_link = _static_host(h).pair_link
+    pair_link = static_host(h).pair_link
     edges = [pair for pair, link in pair_link.items() if link.bit_count() >= threshold]
     return Graph(h.n, edges)
 
@@ -1176,7 +1236,8 @@ def greedy_extend(h: ThreeGraph, s_side: tuple[int, ...], t_side: tuple[int, ...
     floor a fresh apex always exists (at most s + t + s*t - 1 vertices are
     ever excluded).  Apexes are chosen smallest-first in core edge order.
     The core pairs' links are read from the one-entry, read-only index of
-    `_static_host`, which the many cores asked of one host share.
+    `static_host`, which the many cores asked of one host share with
+    `heavy_shadow_graph`, `find_expansion` and `harness.decompose_3graph`.
     """
     s, t = len(s_side), len(t_side)
     if s < 1 or t < 1:
@@ -1184,7 +1245,7 @@ def greedy_extend(h: ThreeGraph, s_side: tuple[int, ...], t_side: tuple[int, ...
     if len(set(s_side) | set(t_side)) != s + t:
         raise ValueError("core vertices must be distinct")
     core_pairs = [(a, b) if a < b else (b, a) for a in s_side for b in t_side]
-    pair_link = _static_host(h).pair_link
+    pair_link = static_host(h).pair_link
     links = [pair_link.get(key, 0) for key in core_pairs]
     need = s * t + s + t
     for key, link in zip(core_pairs, links):

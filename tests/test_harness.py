@@ -5,9 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from turanlab.errors import CapExceededError
+from turanlab.errors import CapExceededError, InvariantViolationError
 from turanlab.hypergraph import BipartiteGraph, Graph, ThreeGraph
-from turanlab.patterns import PatternSpec, complete_bipartite, even_cycle, theta
+from turanlab.patterns import PatternSpec, complete_bipartite, even_cycle, static_host, theta
 from turanlab import harness as H
 
 
@@ -85,6 +85,20 @@ class TestDecompose3Graph:
             H.decompose_3graph(h, 4, 1, 1)
         with pytest.raises(ValueError):
             H.decompose_3graph(h, 0, 0, 1)
+
+    @pytest.mark.parametrize("pair,w,message", [
+        ((0, 1), 6, "odd"),  # one pivot codegree one too high
+        ((1, 2), 3, "multiple of 3"),  # the V1 pair (1, 2) loses its third vertex 3
+        ((1, 2), 6, "negative"),  # (1, 2) gains the V2 vertex 6: more two-in-V1 than exist
+    ])
+    def test_a_corrupt_index_fails_a_check(self, pair, w, message):
+        # the complete 3-graph on 0..5 plus an isolated 6: at s = t = 1 the
+        # pivot 0 has V1 = {1, ..., 5} and V2 = {6}
+        h = ThreeGraph(7, list(combinations(range(6), 3)))
+        assert H.decompose_3graph(h, 0, 1, 1).v1 == (1, 2, 3, 4, 5)
+        static_host(h).pair_link[pair] ^= 1 << w
+        with pytest.raises(InvariantViolationError, match=message):
+            H.decompose_3graph(h, 0, 1, 1)
 
 
 class TestBoundednessScan:
