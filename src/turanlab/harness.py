@@ -286,7 +286,8 @@ def decompose_3graph(h: ThreeGraph, v: int, s: int, t: int) -> Decomposition:
             two += (third & ~in1 & ~(1 << v)).bit_count()
     one = -2 * two - inside
     for x in v1:
-        one += sum(link[(x, y) if x < y else (y, x)].bit_count() for y in iter_bits(adj[x])) // 2 - co[x]
+        twice = sum(link[(x, y) if x < y else (y, x)].bit_count() for y in iter_bits(adj[x]))
+        one += twice // 2 - co[x]
     if through % 2:
         raise InvariantViolationError(f"codegrees at pivot {v} sum to the odd {through}")
     if inside % 3:

@@ -49,9 +49,10 @@ not, and `plan_take` drops such patterns before a solve's search.
 The 3-graph reads that never change their host (`find_expansion`,
 `heavy_shadow_graph`, `greedy_extend`, and `harness.decompose_3graph`)
 share one read-only index, `static_host`, built once for the last static
-3-graph asked about: none of them may mutate it.  It keeps one entry, not one per host, because callers
-ask many questions of one host before moving on, and a kept index would
-hold each host's pair links for as long as the host lives.
+3-graph asked about: none of them may mutate it.  It keeps one entry, not
+one per host, because callers ask many questions of one host before moving
+on, and a kept index would hold each host's pair links for as long as the
+host lives.
 
 The per-call checks `pattern_through_edge` and
 `expansion_through_triple` ask whether the edge (or triple) just added
@@ -843,9 +844,10 @@ _last_static: tuple = (None, None)
 def static_host(h: ThreeGraph | SemibipartiteThreeGraph) -> ThreeGraphHost:
     """`ThreeGraphHost.of(h)` for the last static 3-graph asked about: a
     read-only index with one entry, for the reasons in the module docstring:
-    a caller must not change the host it returns.  It is keyed by the host object, not its value, so a lookup hashes
-    nothing; the entry keeps its host alive, so no other object can take
-    that identity while it is stored."""
+    a caller must not change the host it returns.  It is keyed by the host
+    object, not its value, so a lookup hashes nothing; the entry keeps its
+    host alive, so no other object can take that identity while it is
+    stored."""
     global _last_static
     last, host = _last_static
     if last is not h:
@@ -1100,14 +1102,14 @@ def plan_take(host: GraphHost, specs) -> Callable[[tuple], bool]:
     is planned here, once per host, as `pattern_through_edge` and
     `expansion_through_triple` plan theirs on every call.  At rank 2 a
     complete core's test runs inline, before the edge is added, anchor by
-    anchor (`_kst_anchors`), as `kst_through` without accept would (at rank
-    3, see `_plan_take_triple`): the
+    anchor (`_kst_anchors`), as `kst_through` without accept would: the
     intersection is N(ha) in the t-side mask and the pool N(hb) in the
     s-side mask, which leave out hb and ha while the pair is no edge.  For
     s = 2 a flat loop over the pool asks whether some member x keeps t - 1
     members of N(ha) & N(x), with no call; for s >= 3 take calls the
     recursion `_kst_through_from` directly.  A hit costs no add and no
-    remove; every other check runs on the host holding the new edge.
+    remove; every other check runs on the host holding the new edge.  At
+    rank 3, `_plan_take_triple` does the same per split of the triple.
     """
     kept = []
     for spec in specs:
@@ -1191,12 +1193,12 @@ def _plan_take_triple(host: ThreeGraphHost, anchors, others):
                 if inter.bit_count() < need:
                     continue
                 if not more and need == 1:
-                    taken = off | 1 << ha | 1 << hb
+                    taken = off | 1 << hb  # no link of ha's holds ha
                     while inter:
                         low = inter & -inter
                         inter ^= low
                         x = low.bit_length() - 1
-                        if link[(ha, x) if ha < x else (x, ha)] & ~(taken | low):
+                        if link[(ha, x) if ha < x else (x, ha)] & ~taken:
                             return False
                     continue
                 forced[0] = off

@@ -1,10 +1,10 @@
 """The read-only 3-graph searches against the per-call scans they replace.
 
-`greedy_extend`, `heavy_shadow_graph` and `find_expansion` read their pair
-links from one shared index of the last static host asked about, and
-`decompose_3graph` tallies every triple by its count in a flat 0/1 list
-of V1 and then takes the pivot's triples off again.  The
-references below are the earlier bodies: `greedy_extend` scanning every host
+`greedy_extend`, `heavy_shadow_graph`, `find_expansion` and
+`decompose_3graph` read their pair links from one shared index of the last
+static host asked about; the decomposition takes its codegrees from the
+pivot's links and counts its regions by inclusion-exclusion over the links
+of the pairs inside V1.  The references below are the earlier bodies: `greedy_extend` scanning every host
 triple for the links of its core pairs, a pair-degree count from the
 triples, and the two-pass decomposition that tests membership in a V1 set.
 `find_expansion` has no earlier body outside the module's private helpers,
