@@ -3,7 +3,10 @@
 `symmetry=True` lets the search engine cut branches that only permute a
 host (degree order, and anything derived from it); `symmetry=False` walks
 the full tree.  Both must report the same extremal value on every cell
-below, and a degree-floor witness must reach its floor either way.
+below, and a degree-floor witness must reach its floor either way.  The
+unconstrained ex cells include patterns whose extremal hosts have many
+vertices of equal degree (stars, K{1,1}+ and K{1,2}+ on 3-graphs), where
+a cut between equal-degree labels has the most to get wrong.
 
 Every `symmetry=True` solve must also return the value and the witness
 pinned in tests/data/symmetry_witnesses.json, so a sharper symmetry cut may
@@ -49,6 +52,10 @@ FLOOR_3GRAPH_CELLS = [
     for floor in range(1, (n - 1) * (n - 2) // 2 + 1)
 ]
 
+FREE_CELLS = [
+    (text, n, None) for text in ("K{1,2}", "K{1,3}", "C4", "K{2,3}") for n in range(2, 8)
+] + [(text, n, None) for text in ("K{1,1}+", "K{1,2}+") for n in range(3, 7)]
+
 
 def _z_cell(m, n, text):
     return f"z {m}x{n} {text}", partial(z_exact, m, n, parse_pattern(text))
@@ -60,18 +67,17 @@ def _zexp_cell(m, n, ordered):
     )
 
 
-def _floor_cell(text, n, floor):
+def _ex_cell(text, n, floor):
     spec = parse_pattern(text)
     kind = "3graph" if spec.expansion else "graph"
-    return f"ex n={n} {text} floor={floor}", partial(
-        ex_exact, n, spec, host_kind=kind, degree_floor=floor
-    )
+    name = f"ex n={n} {text}" if floor is None else f"ex n={n} {text} floor={floor}"
+    return name, partial(ex_exact, n, spec, host_kind=kind, degree_floor=floor)
 
 
 def _cells():
     yield from (_z_cell(m, n, text) for text in Z_PATTERNS for m, n in Z_CELLS)
     yield from (_zexp_cell(m, n, ordered) for ordered in ZEXP_ORDERED for m, n in ZEXP_CELLS)
-    yield from (_floor_cell(*cell) for cell in FLOOR_GRAPH_CELLS + FLOOR_3GRAPH_CELLS)
+    yield from (_ex_cell(*cell) for cell in FLOOR_GRAPH_CELLS + FLOOR_3GRAPH_CELLS + FREE_CELLS)
 
 
 def _pin(result):
@@ -117,9 +123,14 @@ def test_zexp_symmetry_keeps_value(m, n, ordered):
 
 @pytest.mark.parametrize("text,n,floor", FLOOR_GRAPH_CELLS + FLOOR_3GRAPH_CELLS)
 def test_floor_symmetry_keeps_value(text, n, floor):
-    on, off = _on_off(_floor_cell(text, n, floor))
+    on, off = _on_off(_ex_cell(text, n, floor))
     assert _meets_floor(on, floor)
     assert _meets_floor(off, floor)
+
+
+@pytest.mark.parametrize("text,n,floor", FREE_CELLS)
+def test_free_symmetry_keeps_value(text, n, floor):
+    _on_off(_ex_cell(text, n, floor))
 
 
 # nodes_explored with symmetry off, recorded before the symmetry prunes
