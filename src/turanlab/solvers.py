@@ -23,7 +23,9 @@ than by recursion, trying inclusion before exclusion, and prunes a branch
 when (i) the new edge completes a forbidden pattern, (ii) the incumbent
 cannot be beaten even if every remaining edge were added, (iii) symmetry
 breaking rules the branch out: tracked degrees must not increase with the
-vertex label, checked where a vertex's degree becomes final; and at every
+vertex label, checked where a vertex's degree becomes final, and where
+vertex c >= 1 becomes final with the degree of c - 1, swapping the two
+labels must not give a lexicographically smaller edge set; and at every
 node, with u the largest vertex already final and a = u + 1, a and every
 later vertex end with degree at most c = min(deg[u], deg[a] plus the
 remaining edges that raise a), so the branch is cut unless the final
@@ -42,7 +44,11 @@ a's final degree, which is at most deg[u] and at most deg[a] plus a's
 remaining edges.  Because inclusion is tried first and the incumbent is replaced
 only on strict improvement, the reported witness is the lexicographically
 smallest optimal edge set among the hosts the symmetry-reduced search
-visits.  Every witness is re-verified against the full pattern finders,
+visits.  The equal-degree swap does not change that witness: a host it
+cuts has a smaller copy with the same degrees, and sorting that copy's
+columns, where it has parts, makes it smaller still, so the smallest
+optimal host that passes the degree and column rules passes the swap
+too (`_branch_and_bound` gives the argument).  Every witness is re-verified against the full pattern finders,
 in `_solve`, before being returned.
 
 Rule (i) is the hot path: one planned check per tested edge, the anchored
@@ -183,6 +189,29 @@ def _branch_and_bound(
     sorting keeps row degrees, so both orders hold on some copy of every
     host.
 
+    With ``symmetry`` set, a branch is also cut where a vertex c >= 1
+    becomes final with ``deg[c] == deg[c - 1]``, when swapping the labels
+    c - 1 and c gives a lexicographically smaller edge set, read in
+    universe order with inclusion first.  The universe must be closed under
+    that swap, with each cell re-sorted; a host with parts numbers its
+    right part above the tracked labels, so only left labels move.  The
+    swap moves just the cells holding exactly one of the two labels, in
+    pairs (j, k) with k the image of j; every such cell holds c - 1 or c,
+    so all are decided there.  The walk reads the pairs with j < k in
+    ascending j, stops at the first whose two cells differ, and cuts when
+    cell j is out: the swapped host has j in and agrees before it.  This
+    is exact.  A leaf the cut drops has a copy with the same edge count,
+    pattern-freeness and degrees, so it keeps the degree order and the
+    floor, and it is lexicographically smaller.  If that copy breaks the
+    column order, sorting its columns keeps every row degree and makes it
+    smaller still: swapping two adjacent columns whose prefixes increase
+    leaves the rows above their first difference alone and, in that row,
+    turns the earlier cell from out to in.  So the smallest optimal host
+    that passes the degree and column rules passes this cut too.  It is
+    the first optimal leaf the search reaches with or without the cut, and
+    the cuts by bound drop no branch holding it before it is found, so the
+    value and the witness stay the same and only the node count moves.
+
     The walk is one loop over an explicit stack of decided edges, not a
     recursion, so its speed does not depend on how deep the caller's stack
     is.  The checks above run at the loop head of every node, from lists
@@ -204,9 +233,22 @@ def _branch_and_bound(
     # still add (floor)
     sym_at: list[tuple[int, ...]] = [()] * (L + 1)
     cap_at: list[tuple[int, int, int] | None] = [None] * (L + 1)
+    # (c, the (j, k) universe indices with k the cell j becomes when labels
+    # c - 1 and c swap, j < k, ascending j) for each c final at node i
+    swap_at: list[tuple[tuple[int, tuple[tuple[int, int], ...]], ...]] = [()] * (L + 1)
     if symmetry:
         for u in sorted(final_at):
             sym_at[final_at[u]] += (u,)
+        index = {e: j for j, e in enumerate(universe)}
+        for c in sorted(final_at):
+            if c - 1 in final_at:
+                swap = {c - 1: c, c: c - 1}
+                pairs = tuple(
+                    (j, k)
+                    for j, e in enumerate(universe)
+                    if (k := index[tuple(sorted(swap.get(x, x) for x in e))]) > j
+                )
+                swap_at[max(final_at[c - 1], final_at[c])] += ((c, pairs),)
         u = -1
         for i in range(L + 1):
             if sym_at[i]:
@@ -261,6 +303,19 @@ def _branch_and_bound(
                     if deg[u] > deg[u - 1]:
                         break
                 if deg[u] > deg[u - 1]:  # the loop stopped at u
+                    break
+                earlier = False
+                for c, pairs in swap_at[i]:
+                    if deg[c] == deg[c - 1]:
+                        # stack[j] is j or ~j, so an xor below 0 means
+                        # exactly one of cells j and k is in
+                        for j, k in pairs:
+                            if (stack[j] ^ stack[k]) < 0:
+                                earlier = stack[j] < 0
+                                break
+                        if earlier:
+                            break
+                if earlier:
                     break
                 fixed[u] = sum(deg[:u + 1])
             cap = cap_at[i]
