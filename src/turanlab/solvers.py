@@ -48,8 +48,9 @@ visits.  The equal-degree swap does not change that witness: a host it
 cuts has a smaller copy with the same degrees, and sorting that copy's
 columns, where it has parts, makes it smaller still, so the smallest
 optimal host that passes the degree and column rules passes the swap
-too (`_branch_and_bound` gives the argument).  Every witness is re-verified against the full pattern finders,
-in `_solve`, before being returned.
+too (`_branch_and_bound` gives the argument).  Every witness is
+re-verified against the full pattern finders, in `_solve`, before being
+returned.
 
 Rule (i) is the hot path: one planned check per tested edge, the anchored
 check of `turanlab.patterns` with its masks, arcs and embedding plans
@@ -197,7 +198,8 @@ def _branch_and_bound(
     right part above the tracked labels, so only left labels move.  The
     swap moves just the cells holding exactly one of the two labels, in
     pairs (j, k) with k the image of j; every such cell holds c - 1 or c,
-    so all are decided there.  The walk reads the pairs with j < k in
+    so all are decided where c becomes final (degrees become final in
+    label order, as for the cap).  The walk reads the pairs with j < k in
     ascending j, stops at the first whose two cells differ, and cuts when
     cell j is out: the swapped host has j in and agrees before it.  This
     is exact.  A leaf the cut drops has a copy with the same edge count,
@@ -237,18 +239,17 @@ def _branch_and_bound(
     # c - 1 and c swap, j < k, ascending j) for each c final at node i
     swap_at: list[tuple[tuple[int, tuple[tuple[int, int], ...]], ...]] = [()] * (L + 1)
     if symmetry:
+        index = {e: j for j, e in enumerate(universe)}
         for u in sorted(final_at):
             sym_at[final_at[u]] += (u,)
-        index = {e: j for j, e in enumerate(universe)}
-        for c in sorted(final_at):
-            if c - 1 in final_at:
-                swap = {c - 1: c, c: c - 1}
+            if u:
+                swap = {u - 1: u, u: u - 1}
                 pairs = tuple(
                     (j, k)
                     for j, e in enumerate(universe)
                     if (k := index[tuple(sorted(swap.get(x, x) for x in e))]) > j
                 )
-                swap_at[max(final_at[c - 1], final_at[c])] += ((c, pairs),)
+                swap_at[final_at[u]] += ((u, pairs),)
         u = -1
         for i in range(L + 1):
             if sym_at[i]:
